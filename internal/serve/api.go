@@ -234,6 +234,9 @@ type DeltaResponse struct {
 	Since uint64 `json:"since"`
 	// Complete reports whether the changelog still covered every epoch
 	// after Since; when false the client must fall back to a full read.
+	// A cursor at the current epoch is complete with no changes; a cursor
+	// ahead of it (issued by a server that has since restarted and begun
+	// again at epoch 0) is never complete.
 	Complete bool `json:"complete"`
 	// Changes lists tenants that joined or re-declared, sorted by name.
 	Changes []DeltaChange `json:"changes,omitempty"`
@@ -370,6 +373,9 @@ const (
 	CodeNotFound = "not_found"
 	// CodeMethodNotAllowed: the route exists but not for this method.
 	CodeMethodNotAllowed = "method_not_allowed"
+	// CodeEncodeFailed: the snapshot holds a value JSON cannot encode (a
+	// NaN or infinite float), so the server cannot serve it.
+	CodeEncodeFailed = "encode_failed"
 )
 
 // APIError is the typed error carried in an ErrorResponse.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"ref/internal/cobb"
@@ -339,8 +340,29 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, s.DeltaSince(since))
 	default:
-		writeJSON(w, http.StatusOK, s.Current())
+		writeSnapshot(w, s.Current())
 	}
+}
+
+// snapshotBufs recycles full-snapshot bodies between requests: at a few
+// thousand inline agents a body is several hundred KB.
+var snapshotBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeSnapshot writes the full snapshot body through appendSnapshot into
+// a pooled buffer. A snapshot JSON cannot encode (a non-finite float)
+// gets a typed 500 envelope instead of a truncated 200.
+func writeSnapshot(w http.ResponseWriter, snap *Snapshot) {
+	bp := snapshotBufs.Get().(*[]byte)
+	defer snapshotBufs.Put(bp)
+	body, err := appendSnapshot((*bp)[:0], snap)
+	*bp = body
+	if err != nil {
+		writeError(w, &APIError{Code: CodeEncodeFailed, Status: http.StatusInternalServerError,
+			Message: fmt.Sprintf("snapshot at epoch %d cannot be encoded: %v", snap.Epoch, err)})
+		return
+	}
+	writeHeader(w, http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client has gone; nothing to report
 }
 
 // agentsResponse is GET /v1/agents.
@@ -417,11 +439,37 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *API
 	return nil
 }
 
-// writeJSON writes v with the given status and counts the response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	obs.Inc(fmt.Sprintf(MetricHTTPRequests+`{code="%d"}`, status))
+// requestMetric names the MetricHTTPRequests counter for one status.
+func requestMetric(status int) string {
+	return MetricHTTPRequests + `{code="` + strconv.Itoa(status) + `"}`
+}
+
+// requestMetrics holds the counter names of the statuses the API answers
+// with, built once so counting a response costs no formatting.
+var requestMetrics = func() map[int]string {
+	m := make(map[int]string)
+	for _, status := range []int{http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
+		http.StatusMethodNotAllowed, http.StatusConflict, http.StatusRequestEntityTooLarge,
+		http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusGatewayTimeout} {
+		m[status] = requestMetric(status)
+	}
+	return m
+}()
+
+// writeHeader counts the response by status and sends the JSON header.
+func writeHeader(w http.ResponseWriter, status int) {
+	name, ok := requestMetrics[status]
+	if !ok {
+		name = requestMetric(status)
+	}
+	obs.Inc(name)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+}
+
+// writeJSON writes v with the given status and counts the response.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeHeader(w, status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -264,6 +265,26 @@ func TestHealthzQuantilesAndSLO(t *testing.T) {
 	for _, key := range []string{`"epoch_p50_seconds"`, `"epoch_p99_seconds"`, `"slo"`, `"burn_rate"`} {
 		if !bytes.Contains(body, []byte(key)) {
 			t.Errorf("healthz body missing %s: %s", key, body)
+		}
+	}
+}
+
+// TestHTTPRequestCounters: every response is counted by status, on the
+// snapshot path as on the encoding/json path, including a status outside
+// the prebuilt names.
+func TestHTTPRequestCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Install(reg)
+	defer obs.Install(nil)
+	_, ts := newTestServer(t, testConfig())
+	do(t, http.MethodGet, ts.URL+"/v1/allocation", nil)
+	do(t, http.MethodGet, ts.URL+"/v1/allocation?agent=ghost", nil)
+	do(t, http.MethodGet, ts.URL+"/v1/healthz", nil)
+	writeHeader(httptest.NewRecorder(), http.StatusTeapot)
+	for code, want := range map[int]int64{200: 2, 404: 1, 418: 1} {
+		name := fmt.Sprintf(MetricHTTPRequests+`{code="%d"}`, code)
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

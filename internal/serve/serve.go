@@ -1319,6 +1319,10 @@ func (s *Server) DeltaSince(since uint64) *DeltaResponse {
 	cur := s.snap.Load().Epoch
 	resp := &DeltaResponse{Schema: Schema, Epoch: cur, Since: since, Complete: true}
 	if since >= cur {
+		// A cursor ahead of this server came from another server,
+		// typically one that restarted since and began again at epoch 0:
+		// nothing here relates to it, so the client must re-read in full.
+		resp.Complete = since == cur
 		return resp
 	}
 	// The window must cover every epoch in (since, cur]. Epoch 0 has no
