@@ -405,50 +405,44 @@ func (drfMech) Allocate(agents []core.Agent, cap []float64) (opt.Alloc, error) {
 }
 
 // IncrementalEq13 is the differential reference for the incremental epoch
-// engine: driving the economy through an IncrementalAllocator under a
-// deterministic churn sequence — join everyone, remove every third agent,
-// cross an exact-resummation boundary, re-add the removed, re-declare the
-// rest as no-ops — must land every agent's O(R) row within 1 ulp of the
-// mechanism's from-scratch allocation. Both sides maintain compensated
-// (faithfully rounded) per-resource sums, so they can disagree by at most
-// the final rounding.
+// engine: driving the economy through a core.Table under a deterministic
+// churn sequence — join everyone, remove every third agent, cross an
+// exact resummation, re-add the removed, re-declare the rest as no-ops —
+// must land every agent's O(R) row within 1 ulp of the mechanism's
+// from-scratch allocation. Both sides maintain compensated (faithfully
+// rounded) per-resource sums, so they can disagree by at most the final
+// rounding.
 func IncrementalEq13() Oracle {
 	return Oracle{Name: "incremental-eq13-differential", Check: func(ec Economy, m mech.Mechanism, x opt.Alloc) []string {
-		inc, err := core.NewIncrementalAllocator(ec.Cap, core.IncrementalOptions{ResumEvery: 2})
-		if err != nil {
-			return []string{"incremental allocator error: " + err.Error()}
-		}
+		tab := core.NewTable[struct{}](4, len(ec.Cap))
 		name := func(i int) string { return fmt.Sprintf("inc%04d", i) }
 		for i, a := range ec.Agents {
-			if err := inc.Upsert(name(i), a.Utility); err != nil {
-				return []string{fmt.Sprintf("join agent %d: %v", i, err)}
-			}
+			tab.Upsert(name(i), struct{}{}, a.Utility.Rescaled().Alpha)
 		}
-		inc.EndEpoch()
-		// Churn: every third agent leaves, an epoch ends (crossing the
-		// ResumEvery=2 resummation boundary), then they rejoin and the
-		// others re-declare unchanged utilities.
+		tab.EndEpoch()
+		// Churn: every third agent leaves and the sums are rebuilt
+		// exactly, then they rejoin and the others re-declare unchanged
+		// utilities.
 		for i := range ec.Agents {
-			if i%3 == 0 {
-				if err := inc.Remove(name(i)); err != nil {
-					return []string{fmt.Sprintf("leave agent %d: %v", i, err)}
-				}
+			if i%3 == 0 && !tab.Remove(name(i)) {
+				return []string{fmt.Sprintf("leave agent %d: not in the table", i)}
 			}
 		}
-		inc.EndEpoch()
+		tab.Resum()
 		for i, a := range ec.Agents {
-			if err := inc.Upsert(name(i), a.Utility); err != nil {
-				return []string{fmt.Sprintf("re-declare agent %d: %v", i, err)}
-			}
+			tab.Upsert(name(i), struct{}{}, a.Utility.Rescaled().Alpha)
 		}
-		inc.EndEpoch()
+		tab.EndEpoch()
 
 		var out []string
+		sums := tab.Sums(nil)
 		row := make([]float64, len(ec.Cap))
 		for i := range ec.Agents {
-			if _, err := inc.Row(name(i), row); err != nil {
-				return []string{fmt.Sprintf("row of agent %d: %v", i, err)}
+			sh, j, ok := tab.Lookup(name(i))
+			if !ok {
+				return []string{fmt.Sprintf("agent %d missing from the table", i)}
 			}
+			core.RowFromSumsBudgeted(row, sh.Weight(j), sh.Budget(j), sums, ec.Cap, len(ec.Agents))
 			for r := range ec.Cap {
 				if d := core.UlpDiff(row[r], x[i][r]); d > 1 {
 					out = append(out, fmt.Sprintf("agent %d resource %d: incremental %v vs mechanism %v (%d ulps apart)",

@@ -61,54 +61,41 @@ func TestAllocateBudgetedUnitIdentity(t *testing.T) {
 	}
 }
 
-// TestIncrementalUnitBudgetIdentity drives two incremental allocators
-// through the same churn history — one via the classic Upsert, one via
-// UpsertBudget at budget 1 plus redundant SetBudget(1) retilts — and
-// requires every row they publish to be bit-identical at every epoch.
+// TestIncrementalUnitBudgetIdentity drives two agent tables through the
+// same churn history — one by plain upserts, one with redundant
+// SetBudget(1) retilts on top — and requires every sum and row they
+// publish to be bit-identical at every epoch.
 func TestIncrementalUnitBudgetIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	capacity := []float64{24, 12, 8}
-	classic, err := NewIncrementalAllocator(capacity, IncrementalOptions{ResumEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit, err := NewIncrementalAllocator(capacity, IncrementalOptions{ResumEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	classic := NewTable[struct{}](testShards, len(capacity))
+	unit := NewTable[struct{}](testShards, len(capacity))
 	live := map[string]bool{}
 	for epoch := 0; epoch < 40; epoch++ {
 		for step := 0; step < 25; step++ {
 			name := fmt.Sprintf("t%d", rng.Intn(60))
 			switch {
 			case live[name] && rng.Float64() < 0.3:
-				if err := classic.Remove(name); err != nil {
-					t.Fatal(err)
-				}
-				if err := unit.Remove(name); err != nil {
-					t.Fatal(err)
-				}
+				classic.Remove(name)
+				unit.Remove(name)
 				delete(live, name)
 			default:
 				alpha := make([]float64, len(capacity))
 				for r := range alpha {
 					alpha[r] = 0.05 + 2*rng.Float64()
 				}
-				u := cobb.MustNew(1, alpha...)
-				if err := classic.Upsert(name, u); err != nil {
-					t.Fatal(err)
-				}
-				if err := unit.UpsertBudget(name, u, 1); err != nil {
-					t.Fatal(err)
-				}
+				w := cobb.MustNew(1, alpha...).Rescaled().Alpha
+				classic.Upsert(name, struct{}{}, w)
+				unit.Upsert(name, struct{}{}, w)
 				live[name] = true
 			}
 		}
 		// A unit-budget retilt must be a no-op on the sums.
 		for name := range live {
 			if rng.Float64() < 0.2 {
-				if err := unit.SetBudget(name, 1); err != nil {
-					t.Fatal(err)
+				sh, i, _ := unit.Lookup(name)
+				if oldEff, _ := sh.SetBudget(i, 1); oldEff != nil {
+					t.Fatalf("agent %s: SetBudget(1) at budget 1 reported a change", name)
 				}
 			}
 		}
@@ -122,25 +109,54 @@ func TestIncrementalUnitBudgetIdentity(t *testing.T) {
 				t.Fatalf("epoch %d resource %d: classic sum %v, unit-budget sum %v", epoch, r, cs[r], us[r])
 			}
 		}
+		if b := unit.BudgetSum(); b != float64(len(live)) {
+			t.Fatalf("epoch %d: budget sum %v, want the population %d", epoch, b, len(live))
+		}
 		for name := range live {
-			crow, err := classic.Row(name, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			urow, err := unit.Row(name, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			crow := tableRow(t, classic, capacity, name)
+			urow := tableRow(t, unit, capacity, name)
 			for r := range crow {
 				if crow[r] != urow[r] {
 					t.Fatalf("epoch %d agent %s resource %d: classic %v, unit-budget %v",
 						epoch, name, r, crow[r], urow[r])
 				}
 			}
-			if b := unit.Budget(name); b != 1 {
-				t.Fatalf("agent %s budget drifted to %v", name, b)
-			}
 		}
+	}
+}
+
+// TestTableBudgetedResumIdentity tilts budgets through SetBudget and
+// checks that the running effective-weight and budget sums agree with an
+// exact resummation within 2 ulps, and that rows read the tilt.
+func TestTableBudgetedResumIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	capacity := []float64{24, 12}
+	tab := NewTable[struct{}](testShards, len(capacity))
+	for i := 0; i < 300; i++ {
+		tab.Upsert(fmt.Sprintf("t%03d", i), struct{}{}, cobb.MustNew(1, 0.05+rng.Float64(), 0.05+rng.Float64()).Rescaled().Alpha)
+	}
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 300; i += 1 + rng.Intn(4) {
+			sh, j, _ := tab.Lookup(fmt.Sprintf("t%03d", i))
+			sh.SetBudget(j, 0.25+rng.Float64())
+		}
+	}
+	running, budgets := tab.Sums(nil), tab.BudgetSum()
+	tab.Resum()
+	exact := tab.Sums(nil)
+	for r := range running {
+		if d := UlpDiff(running[r], exact[r]); d > 2 {
+			t.Fatalf("resource %d: running %v vs exact %v (%d ulps)", r, running[r], exact[r], d)
+		}
+	}
+	if d := UlpDiff(budgets, tab.BudgetSum()); d > 2 {
+		t.Fatalf("budget sum: running %v vs exact %v (%d ulps)", budgets, tab.BudgetSum(), d)
+	}
+	sh, j, _ := tab.Lookup("t000")
+	b := sh.Budget(j)
+	row := RowFromSumsBudgeted(nil, sh.Weight(j), b, exact, capacity, tab.Len())
+	if want := b * sh.Weight(j)[0] / exact[0] * capacity[0]; row[0] != want {
+		t.Fatalf("row ignores the budget: %v, want %v", row[0], want)
 	}
 }
 

@@ -13,19 +13,20 @@ import (
 // agents.
 const deltaBatch = 64
 
-// benchEconomy seeds an allocator (and the parallel full-recompute agent
-// slice) with n agents over r resources.
-func benchEconomy(b *testing.B, n, r int) (*IncrementalAllocator, []Agent, []float64) {
+// benchShards is the stripe count the benchmark tables use — the
+// serving default at 1M agents in the repo benchmark's flat-1m workload.
+const benchShards = 1024
+
+// benchEconomy seeds an agent table (and the parallel full-recompute
+// agent slice) with n agents over r resources.
+func benchEconomy(b *testing.B, n, r int) (*Table[struct{}], []Agent, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	capacity := make([]float64, r)
 	for j := range capacity {
 		capacity[j] = 1 + rng.Float64()*100
 	}
-	a, err := NewIncrementalAllocator(capacity, IncrementalOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tab := NewTable[struct{}](benchShards, r)
 	agents := make([]Agent, n)
 	for i := 0; i < n; i++ {
 		alpha := make([]float64, r)
@@ -35,37 +36,48 @@ func benchEconomy(b *testing.B, n, r int) (*IncrementalAllocator, []Agent, []flo
 		u := cobb.MustNew(1, alpha...)
 		name := fmt.Sprintf("agent%07d", i)
 		agents[i] = Agent{Name: name, Utility: u}
-		if err := a.Upsert(name, u); err != nil {
-			b.Fatal(err)
-		}
+		tab.Upsert(name, struct{}{}, u.Rescaled().Alpha)
 	}
-	return a, agents, capacity
+	return tab, agents, capacity
 }
 
 var benchSizes = []int{1_000, 10_000, 100_000, 1_000_000}
 
 // BenchmarkEpochIncremental measures one small-delta epoch through the
-// incremental engine: deltaBatch updates applied in O(ΔN·R), EndEpoch
+// agent table: deltaBatch updates applied in O(ΔN·R), the EndEpoch
 // policy, and one O(R) row read. Cost must not scale with N.
 func BenchmarkEpochIncremental(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			a, agents, _ := benchEconomy(b, n, 2)
+			tab, agents, capacity := benchEconomy(b, n, 2)
 			rng := rand.New(rand.NewSource(2))
+			sums := make([]float64, 2)
 			row := make([]float64, 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for d := 0; d < deltaBatch; d++ {
 					ag := agents[rng.Intn(n)]
-					if err := a.Upsert(ag.Name, ag.Utility); err != nil {
-						b.Fatal(err)
-					}
+					tab.Upsert(ag.Name, struct{}{}, ag.Utility.Rescaled().Alpha)
 				}
-				a.EndEpoch()
-				if _, err := a.Row(agents[0].Name, row); err != nil {
-					b.Fatal(err)
-				}
+				tab.EndEpoch()
+				sh, j, _ := tab.Lookup(agents[0].Name)
+				RowFromSumsBudgeted(row, sh.Weight(j), sh.Budget(j), tab.Sums(sums), capacity, n)
+			}
+		})
+	}
+}
+
+// BenchmarkIncrementalResum measures the forced exact resummation: the
+// O(N·R) compensated walk over every shard's contiguous weight column.
+func BenchmarkIncrementalResum(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			tab, _, _ := benchEconomy(b, n, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab.Resum()
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,19 +41,23 @@ func randUtility(rng *rand.Rand, r int) cobb.Utility {
 	return cobb.MustNew(0.5+rng.Float64(), alpha...)
 }
 
+// testShards stripes the differential tables, so every sum crosses the
+// fixed-order shard combine.
+const testShards = 4
+
 // fullRows recomputes the allocation from scratch with Allocate over the
-// allocator's current agents (in its deterministic iteration order) and
-// returns rows keyed by name.
-func fullRows(t *testing.T, a *IncrementalAllocator, utils map[string]cobb.Utility) map[string][]float64 {
+// table's current agents (in canonical order) and returns rows keyed by
+// name.
+func fullRows(t *testing.T, tab *Table[struct{}], capacity []float64, utils map[string]cobb.Utility) map[string][]float64 {
 	t.Helper()
-	if a.Len() == 0 {
+	if tab.Len() == 0 {
 		return nil
 	}
-	agents := make([]Agent, 0, a.Len())
-	a.Each(func(name string, _ []float64) {
-		agents = append(agents, Agent{Name: name, Utility: utils[name]})
+	agents := make([]Agent, 0, tab.Len())
+	tab.Each(func(sh *Shard[struct{}], i int) {
+		agents = append(agents, Agent{Name: sh.Name(i), Utility: utils[sh.Name(i)]})
 	})
-	alloc, err := Allocate(agents, a.Capacity())
+	alloc, err := Allocate(agents, capacity)
 	if err != nil {
 		t.Fatalf("full recompute: %v", err)
 	}
@@ -63,16 +68,23 @@ func fullRows(t *testing.T, a *IncrementalAllocator, utils map[string]cobb.Utili
 	return out
 }
 
+// tableRow reads one agent's O(R) row from the table's combined sums.
+func tableRow(t *testing.T, tab *Table[struct{}], capacity []float64, name string) []float64 {
+	t.Helper()
+	sh, i, ok := tab.Lookup(name)
+	if !ok {
+		t.Fatalf("agent %s missing from the table", name)
+	}
+	return RowFromSumsBudgeted(nil, sh.Weight(i), sh.Budget(i), tab.Sums(nil), capacity, tab.Len())
+}
+
 // assertAgreement compares every agent's incremental row against the full
 // recompute at ulp resolution.
-func assertAgreement(t *testing.T, a *IncrementalAllocator, utils map[string]cobb.Utility, epoch int) {
+func assertAgreement(t *testing.T, tab *Table[struct{}], capacity []float64, utils map[string]cobb.Utility, epoch int) {
 	t.Helper()
-	want := fullRows(t, a, utils)
+	want := fullRows(t, tab, capacity, utils)
 	for name, w := range want {
-		got, err := a.Row(name, nil)
-		if err != nil {
-			t.Fatalf("epoch %d: Row(%s): %v", epoch, name, err)
-		}
+		got := tableRow(t, tab, capacity, name)
 		for r := range w {
 			if d := UlpDiff(got[r], w[r]); d > maxUlps {
 				t.Fatalf("epoch %d: agent %s resource %d: incremental %v vs full %v (%d ulps apart)",
@@ -83,9 +95,9 @@ func assertAgreement(t *testing.T, a *IncrementalAllocator, utils map[string]cob
 }
 
 // TestIncrementalDifferential drives randomized join/leave/update
-// sequences through the incremental allocator and asserts agreement with
-// the full recompute within 1 ulp at every epoch, with ResumEvery forced
-// low so the sequence crosses many exact-resummation boundaries.
+// sequences through the agent table and asserts agreement with the full
+// recompute within 1 ulp at every epoch, with the cadence shortened to 7
+// so the sequence crosses many exact-resummation boundaries.
 func TestIncrementalDifferential(t *testing.T) {
 	for _, resources := range []int{2, 3, 5} {
 		for seed := int64(1); seed <= 8; seed++ {
@@ -95,10 +107,8 @@ func TestIncrementalDifferential(t *testing.T) {
 				for r := range capacity {
 					capacity[r] = 1 + rng.Float64()*100
 				}
-				a, err := NewIncrementalAllocator(capacity, IncrementalOptions{ResumEvery: 7})
-				if err != nil {
-					t.Fatal(err)
-				}
+				tab := NewTable[struct{}](testShards, resources)
+				tab.Cadence().Shorten(7)
 				utils := make(map[string]cobb.Utility)
 				live := []string{}
 				joined := 0
@@ -112,31 +122,27 @@ func TestIncrementalDifferential(t *testing.T) {
 							u := randUtility(rng, resources)
 							utils[name] = u
 							live = append(live, name)
-							if err := a.Upsert(name, u); err != nil {
-								t.Fatalf("join %s: %v", name, err)
-							}
+							tab.Upsert(name, struct{}{}, u.Rescaled().Alpha)
 						case op < 8: // update
 							name := live[rng.Intn(len(live))]
 							u := randUtility(rng, resources)
 							utils[name] = u
-							if err := a.Upsert(name, u); err != nil {
-								t.Fatalf("update %s: %v", name, err)
-							}
+							tab.Upsert(name, struct{}{}, u.Rescaled().Alpha)
 						default: // leave
 							i := rng.Intn(len(live))
 							name := live[i]
 							live = append(live[:i], live[i+1:]...)
 							delete(utils, name)
-							if err := a.Remove(name); err != nil {
-								t.Fatalf("leave %s: %v", name, err)
+							if !tab.Remove(name) {
+								t.Fatalf("leave %s: not in the table", name)
 							}
 						}
 					}
-					a.EndEpoch()
-					assertAgreement(t, a, utils, epoch)
+					tab.EndEpoch()
+					assertAgreement(t, tab, capacity, utils, epoch)
 				}
-				if a.Resums() == 0 {
-					t.Fatalf("60 epochs at ResumEvery=7 never resummed")
+				if tab.Cadence().Resums() == 0 {
+					t.Fatalf("60 epochs at a cadence of 7 never resummed")
 				}
 			})
 		}
@@ -149,77 +155,108 @@ func TestIncrementalDifferential(t *testing.T) {
 func TestIncrementalLargeChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	capacity := []float64{24, 12, 3}
-	a, err := NewIncrementalAllocator(capacity, IncrementalOptions{ResumEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := NewTable[struct{}](testShards, 3)
 	utils := make(map[string]cobb.Utility)
 	for i := 0; i < 512; i++ {
 		name := fmt.Sprintf("agent%04d", i)
 		utils[name] = randUtility(rng, 3)
-		if err := a.Upsert(name, utils[name]); err != nil {
-			t.Fatal(err)
-		}
+		tab.Upsert(name, struct{}{}, utils[name].Rescaled().Alpha)
 	}
 	// 50 epochs of 64-agent update batches: ~6× the population churned
-	// through the sums without a single exact resummation.
+	// through the sums without a single exact resummation (the cadence
+	// is 256 epochs).
 	for epoch := 0; epoch < 50; epoch++ {
 		for b := 0; b < 64; b++ {
 			name := fmt.Sprintf("agent%04d", rng.Intn(512))
 			utils[name] = randUtility(rng, 3)
-			if err := a.Upsert(name, utils[name]); err != nil {
-				t.Fatal(err)
-			}
+			tab.Upsert(name, struct{}{}, utils[name].Rescaled().Alpha)
 		}
-		a.EndEpoch()
+		tab.EndEpoch()
 	}
-	if a.Resums() != 0 {
-		t.Fatalf("drift policy fired on benign churn (%d resums)", a.Resums())
+	if n := tab.Cadence().Resums(); n != 0 {
+		t.Fatalf("drift policy fired on benign churn (%d resums)", n)
 	}
-	assertAgreement(t, a, utils, 50)
+	assertAgreement(t, tab, capacity, utils, 50)
 }
 
-// TestIncrementalDriftTrigger proves the drift policy fires: with a tiny
-// DriftRatio any churn forces an exact resummation.
+// TestIncrementalDriftTrigger proves the drift policy fires: churn of
+// 1e15 through a sum that ends near 1 outruns the 1e12 drift ratio and
+// forces an exact resummation of that shard alone at the epoch's end.
 func TestIncrementalDriftTrigger(t *testing.T) {
-	a, err := NewIncrementalAllocator([]float64{10, 10}, IncrementalOptions{ResumEvery: 1 << 30, DriftRatio: 1e-9})
-	if err != nil {
-		t.Fatal(err)
+	tab := NewTable[struct{}](testShards, 2)
+	tab.Upsert("small", struct{}{}, []float64{0.5, 0.5})
+	tab.Upsert("huge", struct{}{}, []float64{1e15, 0.5})
+	tab.Remove("huge")
+	tab.EndEpoch()
+	if n := tab.Cadence().Resums(); n != 1 {
+		t.Fatalf("churn 1e15× the live sum did not trigger one resummation (resums=%d)", n)
 	}
-	if err := a.Upsert("a", cobb.MustNew(1, 0.5, 0.5)); err != nil {
-		t.Fatal(err)
+	if got := tab.Sums(nil); got[0] != 0.5 || got[1] != 0.5 {
+		t.Fatalf("sums after the drift resummation = %v, want [0.5 0.5]", got)
 	}
-	a.EndEpoch()
-	if a.Resums() != 1 {
-		t.Fatalf("DriftRatio=1e-9 with churn did not trigger a resummation (resums=%d)", a.Resums())
+	tab.Upsert("small", struct{}{}, []float64{0.25, 0.75})
+	tab.EndEpoch()
+	if n := tab.Cadence().Resums(); n != 1 {
+		t.Fatalf("benign churn triggered a resummation (resums=%d)", n)
 	}
 }
 
-// TestIncrementalErrors locks the error paths: invalid utilities, wrong
-// dimensionality, and removing an unknown agent are all refused without
-// corrupting the sums.
+// TestIncrementalErrors locks the refusal path: removing an unknown
+// agent reports false and leaves the sums, the budget sum and the
+// population untouched.
 func TestIncrementalErrors(t *testing.T) {
-	a, err := NewIncrementalAllocator([]float64{10, 10}, IncrementalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Upsert("bad", cobb.Utility{Alpha0: 1, Alpha: []float64{-1, 1}}); err == nil {
-		t.Fatal("negative elasticity accepted")
-	}
-	if err := a.Upsert("bad", cobb.MustNew(1, 0.5, 0.5, 0.5)); err == nil {
-		t.Fatal("wrong dimensionality accepted")
-	}
-	if err := a.Remove("ghost"); err == nil {
+	tab := NewTable[struct{}](testShards, 2)
+	tab.Upsert("a", struct{}{}, []float64{0.3, 0.7})
+	before := tab.Sums(nil)
+	if tab.Remove("ghost") {
 		t.Fatal("removing an unknown agent succeeded")
 	}
-	if a.Len() != 0 {
-		t.Fatalf("failed mutations changed the agent count: %d", a.Len())
+	if after := tab.Sums(nil); after[0] != before[0] || after[1] != before[1] {
+		t.Fatalf("failed removal changed the sums: %v -> %v", before, after)
 	}
-	if _, err := NewIncrementalAllocator(nil, IncrementalOptions{}); err == nil {
-		t.Fatal("empty capacity accepted")
+	if tab.Len() != 1 || tab.BudgetSum() != 1 {
+		t.Fatalf("failed removal changed the population: len %d, budget sum %v", tab.Len(), tab.BudgetSum())
 	}
-	if _, err := NewIncrementalAllocator([]float64{-1}, IncrementalOptions{}); err == nil {
-		t.Fatal("negative capacity accepted")
+}
+
+// TestTableCanonicalOrder pins the column layout: rows sit in name order
+// within a shard whatever the join order, a join or leave shifts the
+// rows after it, and Each merges the shards into the global name order.
+func TestTableCanonicalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tab := NewTable[int](testShards, 2)
+	want := map[string]int{}
+	for _, i := range rng.Perm(200) {
+		name := fmt.Sprintf("n%03d", i)
+		want[name] = i
+		tab.Upsert(name, i, []float64{float64(i), 1})
+	}
+	for i := 0; i < 200; i += 3 {
+		name := fmt.Sprintf("n%03d", i)
+		delete(want, name)
+		tab.Remove(name)
+	}
+	var prev string
+	seen := 0
+	tab.Each(func(sh *Shard[int], i int) {
+		name := sh.Name(i)
+		if name <= prev {
+			t.Fatalf("walk out of order: %q after %q", name, prev)
+		}
+		prev = name
+		if p, w := sh.Payload(i), sh.Weight(i); p != want[name] || w[0] != float64(p) || w[1] != 1 || sh.Budget(i) != 1 {
+			t.Fatalf("row %s = payload %d weight %v budget %v", name, p, w, sh.Budget(i))
+		}
+		seen++
+	})
+	if seen != len(want) || tab.Len() != len(want) {
+		t.Fatalf("walk saw %d rows, table holds %d, want %d", seen, tab.Len(), len(want))
+	}
+	for g := 0; g < tab.Len(); g++ {
+		sh, i := tab.At(g)
+		if j, ok := sh.Find(sh.Name(i)); !ok || j != i {
+			t.Fatalf("At(%d) = row %d of %q, Find says %d/%v", g, i, sh.Name(i), j, ok)
+		}
 	}
 }
 
@@ -270,4 +307,17 @@ func TestCompSumMerge(t *testing.T) {
 		t.Fatalf("merged shard sums %v vs direct sum %v: %d ulps apart", merged.Value(), one.Value(), d)
 	}
 	_ = exact
+}
+
+// TestShardOfIsFNV1a pins the stripe assignment to hash/fnv's 64-bit
+// FNV-1a, which every replay golden's shard-order combine depends on.
+func TestShardOfIsFNV1a(t *testing.T) {
+	tab := NewTable[struct{}](1024, 1)
+	for _, name := range []string{"", "a", "agent0000042", "ünïcode", "tenant-1/leaf-3"} {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(name))
+		if got, want := tab.ShardOf(name), int(h.Sum64()%1024); got != want {
+			t.Errorf("ShardOf(%q) = %d, want %d", name, got, want)
+		}
+	}
 }

@@ -114,7 +114,7 @@ func splitResource(children []*node, r int, share float64, fair, target [][]floa
 	sumQ, sumQt, sumA := 0.0, 0.0, 0.0
 	demandPos, live := 0, 0
 	for _, c := range children {
-		v := c.sums[r].Value()
+		v := c.sums.Value(r)
 		if v < 0 { // compensation residue after full departure
 			v = 0
 		}
@@ -143,7 +143,7 @@ func splitResource(children []*node, r int, share float64, fair, target [][]floa
 			over = 0
 		}
 		for i, c := range children {
-			av := c.sums[r].Value()
+			av := c.sums.Value(r)
 			if av < 0 {
 				av = 0
 			}

@@ -93,7 +93,7 @@ func (t *Tree) auditNode(n *node, share []float64, a *Alloc, rel float64, rep *R
 		agg[i] = make([]float64, nRes)
 		effQ[i] = make([]float64, nRes)
 		for r := 0; r < nRes; r++ {
-			v := c.sums[r].Value()
+			v := c.sums.Value(r)
 			if v < 0 {
 				v = 0
 			}
@@ -114,8 +114,8 @@ func (t *Tree) auditNode(n *node, share []float64, a *Alloc, rel float64, rep *R
 		over[r] = o
 	}
 
-	zs := make([][]float64, k)  // over-quota bundles
-	ent := make([]float64, k)   // entitlements w · open demand mass
+	zs := make([][]float64, k) // over-quota bundles
+	ent := make([]float64, k)  // entitlements w · open demand mass
 	sumEnt := 0.0
 	for i, c := range n.children {
 		zs[i] = make([]float64, nRes)

@@ -26,12 +26,12 @@
 // # Aggregates
 //
 // Each node maintains, per resource, the Neumaier-compensated sum
-// (core.CompSum) of the rescaled elasticities of every agent in its
-// subtree. An agent join/leave/update applies core.ApplyWeightDelta
-// along the leaf-to-root path — O(depth·R) per delta, the hierarchical
-// extension of core.IncrementalAllocator's running sums — and the same
-// two resummation triggers (epoch cadence and churn-vs-sum drift)
-// force an exact O(N·depth·R) rebuild in canonical agent order.
+// (core.RunningSums) of the rescaled elasticities of every agent in its
+// subtree. An agent join/leave/update moves its weight along the
+// leaf-to-root path — O(depth·R) per delta, the hierarchical extension
+// of the flat agent table's running sums — and the same resummation
+// policy (core.Cadence plus the churn-vs-sum drift test) forces an
+// exact O(N·depth·R) rebuild in canonical agent order.
 //
 // # Allocation
 //
@@ -175,12 +175,10 @@ func (c *TreeConfig) Encode() ([]byte, error) {
 	return json.MarshalIndent(&out, "", "  ")
 }
 
-// Options tunes the aggregate resummation policy; the zero value
-// selects core.IncrementalAllocator's defaults.
-type Options struct {
-	ResumEvery int
-	DriftRatio float64
-}
+// Options is empty: the resummation policy is core's fixed one. The
+// type stays because the frozen benchmark module calls
+// NewTree(…, Options{}).
+type Options struct{}
 
 // node is one queue (or the synthetic root). Children are kept sorted
 // by name so every tree walk is deterministic.
@@ -196,8 +194,7 @@ type node struct {
 	agents    int // direct agents (leaves only)
 	subAgents int // agents anywhere in the subtree
 
-	sums  []core.CompSum // subtree aggregate of rescaled elasticities
-	churn []float64
+	sums core.RunningSums // subtree aggregate of rescaled elasticities
 }
 
 func (n *node) isLeaf() bool { return len(n.children) == 0 }
@@ -262,30 +259,29 @@ type Tree struct {
 	deflt    *node
 	byName   map[string]*node // named queues only (not root, not default)
 
-	resumEvery       int
-	driftRatio       float64
-	epochsSinceResum int
-	resums           int
+	cadence core.Cadence
+	// addAgent is the resummation visitor, built once so a rebuild
+	// allocates nothing.
+	addAgent func(queue string, weight []float64)
 }
 
 // NewTree builds a tree from a declaration. Declaration order does not
 // matter (parents may be declared after children); the result is a
 // pure function of the declaration set.
-func NewTree(capacity []float64, cfg *TreeConfig, opts Options) (*Tree, error) {
+func NewTree(capacity []float64, cfg *TreeConfig, _ Options) (*Tree, error) {
 	if len(capacity) == 0 {
 		return nil, fmt.Errorf("queue tree: no resources")
 	}
-	if opts.ResumEvery <= 0 {
-		opts.ResumEvery = 256
-	}
-	if opts.DriftRatio <= 0 {
-		opts.DriftRatio = 1e12
-	}
 	t := &Tree{
-		capacity:   append([]float64(nil), capacity...),
-		byName:     make(map[string]*node),
-		resumEvery: opts.ResumEvery,
-		driftRatio: opts.DriftRatio,
+		capacity: append([]float64(nil), capacity...),
+		byName:   make(map[string]*node),
+	}
+	t.addAgent = func(queue string, w []float64) {
+		for n := t.lookup(CanonicalQueue(queue)); n != nil; n = n.parent {
+			for r, v := range w {
+				n.sums.AddAt(r, v)
+			}
+		}
 	}
 	t.root = t.newNode("")
 	t.root.quota = append([]float64(nil), capacity...)
@@ -361,8 +357,7 @@ func (t *Tree) newNode(name string) *node {
 		name:   name,
 		weight: 1,
 		quota:  make([]float64, r),
-		sums:   make([]core.CompSum, r),
-		churn:  make([]float64, r),
+		sums:   core.NewRunningSums(r),
 	}
 }
 
@@ -511,19 +506,16 @@ func (t *Tree) LeafAgents(name string) int {
 // direct agents split their leaf share by.
 func (t *Tree) LeafSums(name string, dst []float64) []float64 {
 	n := t.lookup(CanonicalQueue(name))
-	if dst == nil {
-		dst = make([]float64, len(t.capacity))
-	}
 	if n == nil {
+		if dst == nil {
+			return make([]float64, len(t.capacity))
+		}
 		for r := range dst {
 			dst[r] = 0
 		}
 		return dst
 	}
-	for r := range n.sums {
-		dst[r] = n.sums[r].Value()
-	}
-	return dst
+	return n.sums.Values(dst)
 }
 
 // Upsert declares a new queue or re-declares an existing one (quota,
@@ -615,19 +607,16 @@ func (t *Tree) heightAfterMove(n *node) int {
 // transfer is churn-accounted, so any compensation residue it leaves
 // behind is cleaned by the next drift- or cadence-triggered resum.
 func (t *Tree) moveSubtree(n *node, newParent *node) {
-	delta := make([]float64, len(t.capacity))
-	for r := range n.sums {
-		delta[r] = n.sums[r].Value()
-	}
+	delta := n.sums.Values(nil)
 	for p := n.parent; p != nil; p = p.parent {
 		p.subAgents -= n.subAgents
-		core.ApplyWeightDelta(p.sums, p.churn, delta, nil)
+		p.sums.Apply(delta, nil)
 	}
 	n.parent.detachChild(n)
 	newParent.attachChild(n)
 	for p := newParent; p != nil; p = p.parent {
 		p.subAgents += n.subAgents
-		core.ApplyWeightDelta(p.sums, p.churn, nil, delta)
+		p.sums.Apply(nil, delta)
 	}
 }
 
@@ -665,7 +654,7 @@ func (t *Tree) AgentDelta(oldQueue, newQueue string, oldW, newW []float64) error
 		n.agents--
 		for ; n != nil; n = n.parent {
 			n.subAgents--
-			core.ApplyWeightDelta(n.sums, n.churn, oldW, nil)
+			n.sums.Apply(oldW, nil)
 		}
 	}
 	if newW != nil {
@@ -679,7 +668,7 @@ func (t *Tree) AgentDelta(oldQueue, newQueue string, oldW, newW []float64) error
 		n.agents++
 		for ; n != nil; n = n.parent {
 			n.subAgents++
-			core.ApplyWeightDelta(n.sums, n.churn, nil, newW)
+			n.sums.Apply(nil, newW)
 		}
 	}
 	return nil
@@ -690,62 +679,45 @@ func (t *Tree) AgentDelta(oldQueue, newQueue string, oldW, newW []float64) error
 // order. The serve layer passes its canonical name-sorted table walk.
 type EachAgent func(visit func(queue string, weight []float64))
 
-// EndEpoch closes one delta batch, applying the same resummation
-// policy as the flat engine: an exact rebuild every ResumEvery epochs,
-// or immediately when churn through any node's aggregate has outrun
-// the drift tolerance.
+// EndEpoch closes one delta batch, applying the flat table's
+// resummation policy: an exact rebuild when the cadence is due, or
+// immediately when churn through any node's aggregate has outrun the
+// drift tolerance.
 func (t *Tree) EndEpoch(each EachAgent) {
-	t.epochsSinceResum++
-	if t.epochsSinceResum >= t.resumEvery {
+	if t.cadence.Tick() || t.root.drifted() {
 		t.Resum(each)
-		return
 	}
-	drift := false
-	var walk func(n *node)
-	walk = func(n *node) {
-		for r := range n.churn {
-			if n.churn[r] > t.driftRatio*math.Max(math.Abs(n.sums[r].Value()), math.SmallestNonzeroFloat64) {
-				drift = true
-				return
-			}
-		}
-		for _, c := range n.children {
-			if drift {
-				return
-			}
-			walk(c)
+}
+
+// drifted reports whether any aggregate in n's subtree needs an exact
+// rebuild.
+func (n *node) drifted() bool {
+	if n.sums.Drifted() {
+		return true
+	}
+	for _, c := range n.children {
+		if c.drifted() {
+			return true
 		}
 	}
-	walk(t.root)
-	if drift {
-		t.Resum(each)
+	return false
+}
+
+// reset empties every aggregate in n's subtree.
+func (n *node) reset() {
+	n.sums.Reset()
+	for _, c := range n.children {
+		c.reset()
 	}
 }
 
 // Resum rebuilds every aggregate exactly from the live agents in the
 // caller's canonical order — O(N·depth·R) — resetting churn.
 func (t *Tree) Resum(each EachAgent) {
-	var reset func(n *node)
-	reset = func(n *node) {
-		for r := range n.sums {
-			n.sums[r].Reset()
-			n.churn[r] = 0
-		}
-		for _, c := range n.children {
-			reset(c)
-		}
-	}
-	reset(t.root)
-	each(func(queue string, w []float64) {
-		for n := t.lookup(CanonicalQueue(queue)); n != nil; n = n.parent {
-			for r := range n.sums {
-				n.sums[r].Add(w[r])
-			}
-		}
-	})
-	t.epochsSinceResum = 0
-	t.resums++
+	t.root.reset()
+	each(t.addAgent)
+	t.cadence.Resummed(true)
 }
 
-// Resums reports how many exact rebuilds have run (policy test hook).
-func (t *Tree) Resums() int { return t.resums }
+// Cadence returns the tree's resummation clock.
+func (t *Tree) Cadence() *core.Cadence { return &t.cadence }

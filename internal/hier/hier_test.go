@@ -218,8 +218,8 @@ func TestIncrementalAggregatesMatchResum(t *testing.T) {
 			}
 		}
 	}
-	if tr.Resums() != 1 {
-		t.Fatalf("resums = %d, want 1", tr.Resums())
+	if tr.Cadence().Resums() != 1 {
+		t.Fatalf("resums = %d, want 1", tr.Cadence().Resums())
 	}
 }
 

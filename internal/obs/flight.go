@@ -139,7 +139,7 @@ func (f *FlightRecorder[T]) Dump(reason string, now time.Time) (bool, string, er
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if last, ok := f.lastDump[reason]; ok && f.seq < last+uint64(len(f.ring)) {
+	if !f.armedLocked(reason) {
 		return false, "", nil
 	}
 	f.lastDump[reason] = f.seq
@@ -167,6 +167,22 @@ func (f *FlightRecorder[T]) Dump(reason string, now time.Time) (bool, string, er
 		f.dumps = f.dumps[len(f.dumps)-f.maxDumps:]
 	}
 	return true, d.File, err
+}
+
+// Armed reports whether a Dump under reason would capture now: the
+// reason has not dumped within the last ring's worth of records.
+func (f *FlightRecorder[T]) Armed(reason string) bool {
+	if f == nil {
+		return false
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.armedLocked(reason)
+}
+
+func (f *FlightRecorder[T]) armedLocked(reason string) bool {
+	last, ok := f.lastDump[reason]
+	return !ok || f.seq >= last+uint64(len(f.ring))
 }
 
 // Dumps returns the retained anomaly dumps, oldest first.

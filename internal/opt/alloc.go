@@ -172,7 +172,7 @@ func ProportionalBudgeted(weights [][]float64, budgets []float64, cap []float64)
 		// quantity Equation 13 shares across agents, and carrying its
 		// rounding error would skew every share. Compensation keeps the
 		// sum faithfully rounded at any agent count, which is also what
-		// lets the incremental engine (core.IncrementalAllocator) match
+		// lets the incremental engine (core.Table) match
 		// this full recompute to within 1 ulp.
 		var sum, comp float64
 		for i := 0; i < n; i++ {

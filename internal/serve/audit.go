@@ -23,7 +23,7 @@ func (s *Server) auditExact(n int, sums []float64) *Fairness {
 	if s.credit.Enabled() {
 		budgets = make([]float64, 0, n)
 	}
-	s.table.forEachSorted(func(name string, e *agentEntry) {
+	s.table.forEachSorted(func(name string, e agentView) {
 		agents = append(agents, core.Agent{Name: name, Utility: e.util})
 		x = append(x, core.RowFromSumsBudgeted(nil, e.weight, e.budget, sums, s.cfg.Capacity, n))
 		if budgets != nil {
@@ -65,9 +65,9 @@ func (s *Server) auditSampled(n int, sums []float64, touched []string) *Fairness
 	if k > n {
 		k = n
 	}
-	entries := make([]*agentEntry, 0, k+len(touched))
+	entries := make([]agentView, 0, k+len(touched))
 	for _, name := range touched {
-		if e := s.table.get(name); e != nil {
+		if e, ok := s.table.get(name); ok {
 			entries = append(entries, e)
 		}
 	}
@@ -142,7 +142,7 @@ func (s *Server) auditSampled(n int, sums []float64, touched []string) *Fairness
 	// touched agent; it is O(R) per agent and needs no bound.
 	efEntries := entries
 	if limit := 2 * k; k > 0 && len(efEntries) > limit {
-		efEntries = make([]*agentEntry, 0, limit)
+		efEntries = make([]agentView, 0, limit)
 		efEntries = append(efEntries, entries[:limit-k]...)
 		efEntries = append(efEntries, entries[len(entries)-k:]...)
 	}
@@ -210,7 +210,7 @@ func (s *Server) auditHierExact() *Fairness {
 	creditOn := s.credit.Enabled()
 	groups := make(map[string]*group)
 	var order []string
-	s.table.forEachSorted(func(name string, e *agentEntry) {
+	s.table.forEachSorted(func(name string, e agentView) {
 		g := groups[e.queue]
 		if g == nil {
 			g = &group{}
@@ -253,9 +253,9 @@ func (s *Server) auditHierSampled(n int, touched []string) *Fairness {
 	if k > n {
 		k = n
 	}
-	entries := make([]*agentEntry, 0, k+len(touched))
+	entries := make([]agentView, 0, k+len(touched))
 	for _, name := range touched {
-		if e := s.table.get(name); e != nil {
+		if e, ok := s.table.get(name); ok {
 			entries = append(entries, e)
 		}
 	}
@@ -331,11 +331,11 @@ func (s *Server) auditHierSampled(n int, touched []string) *Fairness {
 	// then group by leaf: EF and tangency only compare same-leaf agents.
 	efEntries := entries
 	if limit := 2 * k; k > 0 && len(efEntries) > limit {
-		efEntries = make([]*agentEntry, 0, limit)
+		efEntries = make([]agentView, 0, limit)
 		efEntries = append(efEntries, entries[:limit-k]...)
 		efEntries = append(efEntries, entries[len(entries)-k:]...)
 	}
-	byLeaf := make(map[string][]*agentEntry)
+	byLeaf := make(map[string][]agentView)
 	var leafOrder []string
 	for _, e := range efEntries {
 		if _, ok := byLeaf[e.queue]; !ok {

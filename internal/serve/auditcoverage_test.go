@@ -109,8 +109,8 @@ func corruptWeight(t *testing.T, s *Server, name string, factor float64) {
 	t.Helper()
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	e := s.table.get(name)
-	if e == nil {
+	e, ok := s.table.get(name)
+	if !ok {
 		t.Fatalf("no entry %q to corrupt", name)
 	}
 	e.weight[0] *= factor

@@ -38,14 +38,15 @@ func (s *Server) creditPass() {
 	if s.creditLastN > 0 {
 		fairDt = dt / float64(s.creditLastN)
 	}
-	for _, sh := range s.table.shards {
-		for _, name := range sh.sorted {
-			e := sh.entries[name]
+	for si := 0; si < s.table.NumShards(); si++ {
+		sh := s.table.Shard(si)
+		for i := 0; i < sh.Len(); i++ {
+			e := sh.Payload(i)
 			if !e.creditLive {
 				continue
 			}
 			e.credit.Accrue(decay, e.shareRate*dt, fairDt)
-			oldEff, newEff := sh.setBudget(e, s.credit.Budget(e.credit))
+			oldEff, newEff := sh.SetBudget(i, s.credit.Budget(e.credit))
 			if oldEff != nil && s.hierEver {
 				// Cannot fail: the queue holds the agent already and
 				// the delta is a same-queue retilt.
@@ -80,7 +81,7 @@ func (s *Server) creditPublish(snap *Snapshot, n int) {
 	for _, lp := range s.pubLeaf {
 		lp.bsum = 0
 	}
-	s.table.forEachSorted(func(_ string, e *agentEntry) {
+	s.table.forEachSorted(func(_ string, e agentView) {
 		e.shareRate = core.ShareRate(s.rowFor(e, n), s.cfg.Capacity)
 		e.creditLive = true
 		b := e.budget
@@ -103,7 +104,7 @@ func (s *Server) creditPublish(snap *Snapshot, n int) {
 	if n > 0 {
 		roll.TiltMax, roll.TiltMin = tiltMax, tiltMin
 	}
-	roll.BudgetSum = s.table.combineBudgetSum()
+	roll.BudgetSum = s.table.BudgetSum()
 	roll.UsageSum = usageSum.Value()
 	roll.FairSum = fairSum.Value()
 	s.pubBudgetSum = roll.BudgetSum

@@ -22,11 +22,11 @@ func creditTestServer(t *testing.T, clk *FakeClock, halfLife time.Duration, min,
 	cfg.CreditHalfLife = halfLife
 	cfg.CreditMinBudget = min
 	cfg.CreditMaxBudget = max
-	cfg.ResumEvery = 8 // exercise budget-scaled exact resummation often
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	shortenResumCadence(s, 8) // exercise budget-scaled exact resummation often
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

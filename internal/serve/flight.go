@@ -175,12 +175,16 @@ func (s *Server) maybeDump(fair *Fairness, latencyBreach bool, shed int64) {
 	}
 }
 
-// dump captures the ring under reason and counts it. Dump-file write
-// errors are deliberately non-fatal: the in-memory dump is retained and
-// the epoch loop must never fail on observability I/O.
+// dump captures the ring under reason and counts it. The counter is
+// bumped first, so a reader that sees the dump in FlightState also sees
+// it counted; only this goroutine dumps, so Armed cannot go stale before
+// Dump. Dump-file write errors are deliberately non-fatal: the in-memory
+// dump is retained and the epoch loop must never fail on observability
+// I/O.
 func (s *Server) dump(reason string) {
-	if dumped, _, _ := s.flight.Dump(reason, s.clock.Now()); dumped {
+	if s.flight.Armed(reason) {
 		obs.Inc(MetricFlightDumps + `{reason="` + reason + `"}`)
+		_, _, _ = s.flight.Dump(reason, s.clock.Now())
 	}
 }
 

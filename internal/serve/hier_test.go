@@ -441,7 +441,7 @@ func TestHierAuditThreeLevel(t *testing.T) {
 		t.Fatalf("rollups = %d queues, want 5: %+v", len(snap.Queues), snap.Queues)
 	}
 
-	fl := s.FlightState()
+	fl := waitRecords(t, s, snap.Epoch)
 	if !fl.Enabled || len(fl.Records) == 0 {
 		t.Fatalf("flight recorder empty: %+v", fl)
 	}

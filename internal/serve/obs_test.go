@@ -33,6 +33,50 @@ func (c *stepClock) Now() time.Time {
 
 func (c *stepClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
 
+// eventually polls cond until it holds, failing the test after a
+// deadline. The epoch loop replies to a mutation before it records the
+// epoch, dumps, or emits trace spans, so assertions on those wait for
+// the event rather than reading it right after the reply.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitRecords waits until the flight recorder holds the record of epoch
+// `epoch` and returns the recorder state.
+func waitRecords(t *testing.T, s *Server, epoch uint64) FlightSnapshot {
+	t.Helper()
+	var fs FlightSnapshot
+	eventually(t, fmt.Sprintf("the flight record of epoch %d", epoch), func() bool {
+		fs = s.FlightState()
+		return len(fs.Records) > 0 && fs.Records[len(fs.Records)-1].Epoch >= epoch
+	})
+	return fs
+}
+
+// waitDump waits until the flight recorder holds a dump for reason and
+// returns the recorder state.
+func waitDump(t *testing.T, s *Server, reason string) FlightSnapshot {
+	t.Helper()
+	var fs FlightSnapshot
+	eventually(t, "a "+reason+" flight dump", func() bool {
+		fs = s.FlightState()
+		for _, d := range fs.Dumps {
+			if d.Reason == reason {
+				return true
+			}
+		}
+		return false
+	})
+	return fs
+}
+
 // obsConfig is testConfig plus an enabled flight recorder.
 func obsConfig() Config {
 	cfg := testConfig()
@@ -43,9 +87,9 @@ func obsConfig() Config {
 func TestFlightRecorderEpochRecords(t *testing.T) {
 	s, ts := newTestServer(t, obsConfig())
 	join(t, ts.URL, "user1", 0.6, 0.4)
-	join(t, ts.URL, "user2", 0.2, 0.8)
+	ack := join(t, ts.URL, "user2", 0.2, 0.8)
 
-	fs := s.FlightState()
+	fs := waitRecords(t, s, ack.Epoch)
 	if !fs.Enabled || fs.Size != 8 {
 		t.Fatalf("flight state header = enabled %v size %d", fs.Enabled, fs.Size)
 	}
@@ -98,7 +142,7 @@ func TestFlightDumpOnAuditFailure(t *testing.T) {
 	s, ts := newTestServer(t, cfg)
 	join(t, ts.URL, "user1", 0.6, 0.4)
 
-	fs := s.FlightState()
+	fs := waitDump(t, s, "audit_failure")
 	if len(fs.Dumps) != 1 {
 		t.Fatalf("got %d dumps, want exactly 1 (re-arm suppresses repeats)", len(fs.Dumps))
 	}
@@ -125,16 +169,7 @@ func TestFlightDumpOnLatencyBreach(t *testing.T) {
 	s, ts := newTestServer(t, cfg)
 	join(t, ts.URL, "user1", 0.6, 0.4)
 
-	fs := s.FlightState()
-	var breach bool
-	for _, d := range fs.Dumps {
-		if d.Reason == "latency_breach" {
-			breach = true
-		}
-	}
-	if !breach {
-		t.Fatalf("no latency_breach dump; dumps = %+v", fs.Dumps)
-	}
+	waitDump(t, s, "latency_breach")
 	slo, ok := s.SLOStats()
 	if !ok {
 		t.Fatal("SLO configured but SLOStats reports none")
@@ -151,14 +186,17 @@ func TestFlightDumpOnShedSpike(t *testing.T) {
 	cfg := obsConfig()
 	cfg.ShedSpike = 3
 	s, ts := newTestServer(t, cfg)
-	join(t, ts.URL, "user1", 0.6, 0.4)
+	ack := join(t, ts.URL, "user1", 0.6, 0.4)
 
 	// White-box: credit shed writes directly, then run another epoch to
 	// evaluate the trigger (the real shed paths feed the same counter).
+	// The first epoch must have recorded first: it swaps the shed
+	// counter after replying.
+	waitRecords(t, s, ack.Epoch)
 	s.shedSinceEpoch.Add(5)
 	join(t, ts.URL, "user2", 0.2, 0.8)
 
-	fs := s.FlightState()
+	fs := waitDump(t, s, "shed_spike")
 	var spike *EpochRecord
 	for i := range fs.Records {
 		if fs.Records[i].Shed > 0 {
@@ -168,32 +206,25 @@ func TestFlightDumpOnShedSpike(t *testing.T) {
 	if spike == nil || spike.Shed != 5 {
 		t.Fatalf("no record carries the shed count; records = %+v", fs.Records)
 	}
-	var dumped bool
-	for _, d := range fs.Dumps {
-		if d.Reason == "shed_spike" {
-			dumped = true
-		}
-	}
-	if !dumped {
-		t.Fatalf("no shed_spike dump; dumps = %+v", fs.Dumps)
-	}
 }
 
 func TestNoShedSpikeDumpWhenDisabled(t *testing.T) {
 	cfg := obsConfig()
 	cfg.ShedSpike = -1 // negative disables the trigger
 	s, ts := newTestServer(t, cfg)
-	join(t, ts.URL, "user1", 0.6, 0.4)
+	ack := join(t, ts.URL, "user1", 0.6, 0.4)
+	waitRecords(t, s, ack.Epoch)
 	s.shedSinceEpoch.Add(1000)
-	join(t, ts.URL, "user2", 0.2, 0.8)
-	if dumps := s.FlightState().Dumps; len(dumps) != 0 {
+	ack = join(t, ts.URL, "user2", 0.2, 0.8)
+	if dumps := waitRecords(t, s, ack.Epoch).Dumps; len(dumps) != 0 {
 		t.Fatalf("disabled shed trigger still dumped: %+v", dumps)
 	}
 }
 
 func TestFlightRecorderEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, obsConfig())
-	join(t, ts.URL, "user1", 0.6, 0.4)
+	ack := join(t, ts.URL, "user1", 0.6, 0.4)
+	waitRecords(t, s, ack.Epoch)
 
 	status, body, hdr := do(t, http.MethodGet, ts.URL+"/debug/ref/flightrecorder", nil)
 	if status != http.StatusOK {
@@ -212,7 +243,6 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	if fs.Records[0].Epoch == 0 {
 		t.Errorf("first record = %+v, want a real epoch", fs.Records[0])
 	}
-	_ = s
 }
 
 func TestFlightRecorderEndpointDisabled(t *testing.T) {
@@ -316,15 +346,27 @@ func TestEpochTraceSpans(t *testing.T) {
 	join(t, ts.URL, "user2", 0.2, 0.8)
 
 	// Validate via the Chrome export — the exact payload /debug/trace
-	// serves — checking epoch→stage parent links.
-	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, tr); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
+	// serves — checking epoch→stage parent links. The epoch loop emits
+	// an epoch's spans after replying, so wait for the second epoch's
+	// root span (emitted after its stages) to land.
 	var ch obs.ChromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &ch); err != nil {
-		t.Fatalf("trace is not valid Chrome JSON: %v", err)
-	}
+	eventually(t, "two epochs of trace spans", func() bool {
+		var buf bytes.Buffer
+		if err := obs.WriteChromeTrace(&buf, tr); err != nil {
+			t.Fatalf("WriteChromeTrace: %v", err)
+		}
+		ch = obs.ChromeTrace{}
+		if err := json.Unmarshal(buf.Bytes(), &ch); err != nil {
+			t.Fatalf("trace is not valid Chrome JSON: %v", err)
+		}
+		epochs := 0
+		for _, e := range ch.TraceEvents {
+			if e.Name == "ref_serve_epoch" {
+				epochs++
+			}
+		}
+		return epochs >= 2
+	})
 
 	roots := map[float64]bool{} // span IDs of ref_serve_epoch events
 	stages := map[string]int{}

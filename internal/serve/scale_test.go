@@ -312,8 +312,8 @@ func TestSampledAuditAgreesWithExact(t *testing.T) {
 
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	n := s.table.count()
-	sums := s.table.combineSums(nil)
+	n := s.table.Len()
+	sums := s.table.Sums(nil)
 	exact := s.auditExact(n, sums)
 	sampled := s.auditSampled(n, sums, nil)
 	if !exact.SI || !exact.EF || !exact.PE {
@@ -335,27 +335,20 @@ func TestSampledAuditAgreesWithExact(t *testing.T) {
 // size batch ready to replay, for white-box epoch measurements.
 func benchServer(tb testing.TB, n, batch int) (*Server, []mutation) {
 	tb.Helper()
-	cfg, err := Config{
+	s := whiteBoxServer(tb, Config{
 		Capacity:             []float64{24, 12},
 		InlineSnapshotAgents: -1,
 		AuditExactBelow:      -1,
 		AuditSample:          64,
 		Shards:               64,
 		Clock:                NewFakeClock(t0),
-	}.withDefaults()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s := &Server{cfg: cfg, clock: cfg.Clock, mutCh: make(chan mutation, 1),
-		drainCh: make(chan struct{}), doneCh: make(chan struct{}),
-		table:  newAgentTable(cfg.Shards, len(cfg.Capacity), cfg.ResumEvery, cfg.DriftRatio),
-		deltas: make([]epochDelta, cfg.DeltaWindow),
-		tree:   mustTrivialTree(cfg)}
+	})
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("agent%07d", i)
 		u := scaleUtility(rng, 2)
-		s.table.shards[s.table.shardOf(name)].upsert(name, WireAgent{Name: name, Alpha0: u.Alpha0, Elasticities: u.Alpha}, u, "default")
+		e := &agentEntry{}
+		s.table.Upsert(name, e, e.declare(WireAgent{Name: name, Alpha0: u.Alpha0, Elasticities: u.Alpha}, u, "default"))
 	}
 	s.publish(nil)
 	muts := make([]mutation, batch)

@@ -7,14 +7,16 @@
 // the result with the §4 fairness oracles, and atomically publishes an
 // immutable versioned Snapshot that readers access lock-free.
 //
-// Epochs are **incremental**: the agent set lives in a sharded table
-// (striped by name hash) whose shards carry compensated running sums of
-// the rescaled elasticity vectors — the only global state Equation 13
-// needs. A batch of Δ mutations costs O(Δ·R) regardless of the total
-// population, because each join/leave/update is an O(R) delta against
-// its shard's sums and any agent's allocation row is an O(R) read from
-// the combined sums. Exact resummations (every ResumEvery epochs, or
-// sooner when accumulated churn outruns DriftRatio) bound floating-point
+// Epochs are **incremental**: the agent set lives in core's sharded
+// agent table (striped by name hash), whose shards keep their members'
+// weights in contiguous canonical-order columns under compensated
+// running sums of the rescaled elasticity vectors — the only global
+// state Equation 13 needs. A batch of Δ mutations costs O(Δ·R)
+// regardless of the total population, because each join/leave/update is
+// an O(R) delta against its shard's sums and any agent's allocation row
+// is an O(R) read from the combined sums. The table's fixed resummation
+// policy (an exact resummation on a fixed epoch cadence, or sooner when
+// accumulated churn outruns the drift tolerance) bounds floating-point
 // drift so published rows stay within 1 ulp of a from-scratch recompute;
 // the differential tests in internal/core pin that bound.
 //
@@ -220,13 +222,6 @@ type Config struct {
 	// GET /v1/allocation?since=E (default 64). Older cursors get
 	// Complete=false and must fall back to a full read.
 	DeltaWindow int
-	// ResumEvery forces an exact resummation of the incremental sums
-	// every ResumEvery epochs (default 256).
-	ResumEvery int
-	// DriftRatio additionally triggers a resummation when a shard's
-	// accumulated churn exceeds DriftRatio × its current sum magnitude
-	// (default 1e12).
-	DriftRatio float64
 
 	// FlightRecorder, when positive, keeps the last N per-epoch records
 	// (batch composition, per-stage durations, audit verdict, shed
@@ -321,12 +316,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.DeltaWindow <= 0 {
 		c.DeltaWindow = 64
-	}
-	if c.ResumEvery <= 0 {
-		c.ResumEvery = 256
-	}
-	if c.DriftRatio <= 0 {
-		c.DriftRatio = 1e12
 	}
 	if c.SLOBudget <= 0 {
 		c.SLOBudget = 0.01
@@ -468,6 +457,8 @@ type Server struct {
 	sumScratch   []float64
 	logScratch   []float64
 	treeCap      []treeDelta
+	treeW        []float64
+	effScratch   []float64
 
 	// flight is the epoch flight recorder (nil when disabled); slo
 	// tracks the epoch-latency objective (nil when disabled). Both are
@@ -507,8 +498,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.Capacity = append([]float64(nil), cfg.Capacity...)
-	tree, err := hier.NewTree(cfg.Capacity, &hier.TreeConfig{Queues: cfg.Queues},
-		hier.Options{ResumEvery: cfg.ResumEvery, DriftRatio: cfg.DriftRatio})
+	tree, err := hier.NewTree(cfg.Capacity, &hier.TreeConfig{Queues: cfg.Queues}, hier.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -526,7 +516,7 @@ func New(cfg Config) (*Server, error) {
 		mutCh:    make(chan mutation, cfg.QueueDepth),
 		drainCh:  make(chan struct{}),
 		doneCh:   make(chan struct{}),
-		table:    newAgentTable(cfg.Shards, len(cfg.Capacity), cfg.ResumEvery, cfg.DriftRatio),
+		table:    newAgentTable(cfg.Shards, len(cfg.Capacity)),
 		deltas:   make([]epochDelta, cfg.DeltaWindow),
 		tree:     tree,
 		hierEver: tree.NonTrivial(),
@@ -634,9 +624,11 @@ func (s *Server) QueueRollups() (uint64, []QueueRollup) {
 	return s.snap.Load().Epoch, s.pubQueues
 }
 
-// treeDelta is one agent mutation's captured weight movement, recorded
-// during the parallel per-shard apply and folded into the queue tree
-// serially in batch order.
+// treeDelta is one agent mutation's captured effective-weight movement,
+// recorded during the parallel per-shard apply and folded into the queue
+// tree serially in batch order. oldW and newW are copies in the batch's
+// treeW scratch, never views into the table: a later join in the same
+// shard shifts the rows, and a re-declare overwrites its row in place.
 type treeDelta struct {
 	oldW, newW []float64
 	oldQ, newQ string
@@ -660,14 +652,19 @@ type leafPub struct {
 // callback contract. The tree aggregates *effective* weights — at unit
 // budgets that is the raw weight slice, bit for bit. Callers hold stateMu.
 func (s *Server) treeEach(visit func(queue string, weight []float64)) {
-	s.table.forEachSorted(func(_ string, e *agentEntry) { visit(e.queue, e.eff()) })
+	if len(s.effScratch) != len(s.cfg.Capacity) {
+		s.effScratch = make([]float64, len(s.cfg.Capacity))
+	}
+	s.table.Each(func(sh *shard, i int) {
+		visit(sh.Payload(i).queue, core.ScaleWeights(s.effScratch, sh.Weight(i), sh.Budget(i)))
+	})
 }
 
 // rowFor computes one agent's published allocation row: from its leaf
 // queue's share and aggregate when the tree is non-trivial, from the
 // global sums otherwise. n is the total population (the flat
 // denominator's equal-split fallback).
-func (s *Server) rowFor(e *agentEntry, n int) []float64 {
+func (s *Server) rowFor(e agentView, n int) []float64 {
 	if lp, ok := s.pubLeaf[e.queue]; ok {
 		return core.RowFromSumsBudgeted(nil, e.weight, e.budget, lp.sums, lp.share, lp.n)
 	}
@@ -676,7 +673,7 @@ func (s *Server) rowFor(e *agentEntry, n int) []float64 {
 
 // queueRollupFor returns the published rollup of e's leaf queue, nil on
 // the flat path.
-func (s *Server) queueRollupFor(e *agentEntry) *QueueRollup {
+func (s *Server) queueRollupFor(e agentView) *QueueRollup {
 	if i, ok := s.pubQIdx[e.queue]; ok {
 		return &s.pubQueues[i]
 	}
@@ -817,7 +814,7 @@ func (s *Server) runEpoch(batch []mutation) {
 	}
 
 	s.stateMu.Lock()
-	resumsBefore := s.table.resums
+	resumsBefore := s.table.Cadence().Resums()
 
 	// Split the batch into segments: runs of agent mutations apply in
 	// parallel across shards, queue mutations apply serially (they
@@ -849,7 +846,7 @@ func (s *Server) runEpoch(batch []mutation) {
 		s.creditPass()
 	}
 
-	s.table.endEpoch()
+	s.table.EndEpoch()
 	if s.hierEver {
 		s.tree.EndEpoch(s.treeEach)
 	}
@@ -896,8 +893,8 @@ func (s *Server) runEpoch(batch []mutation) {
 	s.recordDelta(epochDelta{epoch: snap.Epoch, upserts: upserts, leaves: leaves,
 		queueUpserts: qUpserts, queueDeletes: qDeletes})
 
-	n := s.table.count()
-	resums := s.table.resums
+	n := s.table.Len()
+	resums := s.table.Cadence().Resums()
 	siMargin := s.lastSIMargin
 	s.stateMu.Unlock()
 
@@ -909,7 +906,7 @@ func (s *Server) runEpoch(batch []mutation) {
 		res := results[i]
 		res.epoch = snap.Epoch
 		if res.err == nil && (m.kind == mutJoin || m.kind == mutUpdate) {
-			if e := s.table.get(m.name); e != nil {
+			if e, ok := s.table.get(m.name); ok {
 				res.row = s.rowFor(e, n)
 				res.queue = e.wire.Queue
 			}
@@ -1011,7 +1008,7 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 	}
 	active := s.activeShards[:0]
 	for i := lo; i < hi; i++ {
-		si := s.table.shardOf(batch[i].name)
+		si := s.table.ShardOf(batch[i].name)
 		if len(s.shardMuts[si]) == 0 {
 			active = append(active, si)
 		}
@@ -1019,35 +1016,45 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 	}
 	s.activeShards = active
 	hierOn := s.hierEver
+	nRes := len(s.cfg.Capacity)
+	if nw := 2 * nRes * len(batch); hierOn && len(s.treeW) < nw {
+		s.treeW = make([]float64, nw)
+	}
 
 	_ = par.ForEach(len(active), s.cfg.Parallelism, func(k int) error {
-		sh := s.table.shards[active[k]]
+		sh := s.table.Shard(active[k])
 		for _, bi := range s.shardMuts[active[k]] {
 			m := batch[bi]
+			// With hierarchical accounting live, the mutation's old and
+			// new effective weights are copied into its own slice of the
+			// batch scratch (disjoint per mutation, so parallel shards
+			// never share a byte).
+			var d *treeDelta
+			var dw []float64
+			if hierOn {
+				d, dw = &s.treeCap[bi], s.treeW[2*nRes*bi:2*nRes*(bi+1)]
+			}
+			i, found := sh.Find(m.name)
 			switch m.kind {
 			case mutJoin, mutUpdate:
 				// Handlers validate before enqueueing; re-check here so a
 				// bad utility can never corrupt the published state.
-				if err := m.util.Validate(); err != nil || m.util.NumResources() != len(s.cfg.Capacity) {
+				if err := m.util.Validate(); err != nil || m.util.NumResources() != nRes {
 					results[bi].err = &APIError{Code: CodeInvalidUtility, Status: http.StatusBadRequest,
 						Message: fmt.Sprintf("agent %q: utility rejected at apply time", m.name)}
 					continue
 				}
-				if m.kind == mutUpdate {
-					if _, ok := sh.entries[m.name]; !ok {
-						results[bi].err = &APIError{Code: CodeUnknownAgent, Status: http.StatusNotFound,
-							Message: fmt.Sprintf("no agent named %q", m.name)}
-						continue
-					}
+				if m.kind == mutUpdate && !found {
+					results[bi].err = &APIError{Code: CodeUnknownAgent, Status: http.StatusNotFound,
+						Message: fmt.Sprintf("no agent named %q", m.name)}
+					continue
 				}
 				// Resolve the leaf queue: an explicit name wins; an empty
 				// field inherits the existing entry's queue (PATCH bodies
 				// and re-declares without a queue stay put).
 				queue := hier.CanonicalQueue(m.wire.Queue)
-				if m.wire.Queue == "" {
-					if e, ok := sh.entries[m.name]; ok {
-						queue = e.queue
-					}
+				if m.wire.Queue == "" && found {
+					queue = sh.Payload(i).queue
 				}
 				if !s.tree.Has(queue) {
 					results[bi].err = &APIError{Code: CodeUnknownQueue, Status: http.StatusNotFound,
@@ -1065,19 +1072,35 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 				} else {
 					wire.Queue = queue
 				}
-				oldW, oldQ := sh.upsert(m.name, wire, m.util, queue)
-				if hierOn {
-					s.treeCap[bi] = treeDelta{has: true, oldW: oldW, oldQ: oldQ,
-						newW: sh.entries[m.name].eff(), newQ: queue}
+				if found {
+					// A re-declare keeps the agent's budget (and ledger):
+					// the table moves the delta between the old and new
+					// effective weights.
+					e := sh.Payload(i)
+					if d != nil {
+						*d = treeDelta{has: true, oldQ: e.queue, oldW: sh.AppendEff(dw[:0:nRes], i)}
+					}
+					sh.Set(i, e.declare(wire, m.util, queue))
+				} else {
+					e := &agentEntry{}
+					sh.Insert(i, m.name, e, e.declare(wire, m.util, queue))
+					if d != nil {
+						*d = treeDelta{has: true}
+					}
+				}
+				if d != nil {
+					d.newQ, d.newW = queue, sh.AppendEff(dw[nRes:nRes:2*nRes], i)
 				}
 			case mutLeave:
-				oldW, oldQ := sh.remove(m.name)
-				if oldW == nil {
+				if !found {
 					results[bi].err = &APIError{Code: CodeUnknownAgent, Status: http.StatusNotFound,
 						Message: fmt.Sprintf("no agent named %q", m.name)}
-				} else if hierOn {
-					s.treeCap[bi] = treeDelta{has: true, oldW: oldW, oldQ: oldQ}
+					continue
 				}
+				if d != nil {
+					*d = treeDelta{has: true, oldQ: sh.Payload(i).queue, oldW: sh.AppendEff(dw[:0:nRes], i)}
+				}
+				sh.Delete(i)
 			}
 		}
 		s.shardMuts[active[k]] = s.shardMuts[active[k]][:0]
@@ -1169,9 +1192,9 @@ func (s *Server) publish(info *batchInfo) *Snapshot {
 // allocate/audit/publish stage timestamps for the flight recorder and
 // tracer.
 func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming) *Snapshot {
-	n := s.table.count()
+	n := s.table.Len()
 	s.lastSIMargin = math.NaN()
-	sums := s.table.combineSums(s.sumScratch)
+	sums := s.table.Sums(s.sumScratch)
 	s.sumScratch = sums
 	s.pubSums = append(s.pubSums[:0], sums...)
 
@@ -1222,7 +1245,7 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 	if s.cfg.InlineSnapshotAgents >= 0 && n <= s.cfg.InlineSnapshotAgents {
 		snap.Agents = make([]WireAgent, 0, n)
 		snap.Allocation = make([][]float64, 0, n)
-		s.table.forEachSorted(func(_ string, e *agentEntry) {
+		s.table.forEachSorted(func(_ string, e agentView) {
 			snap.Agents = append(snap.Agents, e.wire)
 			snap.Allocation = append(snap.Allocation, s.rowFor(e, n))
 		})
@@ -1289,15 +1312,15 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 func (s *Server) AgentRow(name string) *AgentAllocationResponse {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	e := s.table.get(name)
-	if e == nil {
+	e, ok := s.table.get(name)
+	if !ok {
 		return nil
 	}
 	resp := &AgentAllocationResponse{
 		Schema:     Schema,
 		Epoch:      s.snap.Load().Epoch,
 		Agent:      e.wire,
-		Allocation: s.rowFor(e, s.table.count()),
+		Allocation: s.rowFor(e, s.table.Len()),
 		Queue:      s.queueRollupFor(e),
 	}
 	if s.credit.Enabled() {
@@ -1352,9 +1375,9 @@ func (s *Server) DeltaSince(since uint64) *DeltaResponse {
 			qseen[name] = struct{}{}
 		}
 	}
-	n := s.table.count()
+	n := s.table.Len()
 	for name := range seen {
-		if e := s.table.get(name); e != nil {
+		if e, ok := s.table.get(name); ok {
 			ch := DeltaChange{
 				Agent:      e.wire,
 				Allocation: s.rowFor(e, n),

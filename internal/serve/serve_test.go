@@ -22,14 +22,33 @@ func testConfig() Config {
 	return Config{Capacity: []float64{24, 12}}
 }
 
-// mustTrivialTree builds the default-only queue tree for white-box Server
-// literals that bypass New.
-func mustTrivialTree(cfg Config) *hier.Tree {
-	t, err := hier.NewTree(cfg.Capacity, nil, hier.Options{ResumEvery: cfg.ResumEvery, DriftRatio: cfg.DriftRatio})
+// whiteBoxServer builds a Server from cfg (defaulted) without starting
+// its epoch loop, for tests that drive runEpoch or submit directly. It
+// does not publish; call s.publish(nil) once the table is seeded.
+func whiteBoxServer(tb testing.TB, cfg Config) *Server {
+	tb.Helper()
+	cfg, err := cfg.withDefaults()
 	if err != nil {
-		panic(err)
+		tb.Fatal(err)
 	}
-	return t
+	tree, err := hier.NewTree(cfg.Capacity, &hier.TreeConfig{Queues: cfg.Queues}, hier.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Server{cfg: cfg, clock: cfg.Clock, mutCh: make(chan mutation, 1),
+		drainCh: make(chan struct{}), doneCh: make(chan struct{}),
+		table:  newAgentTable(cfg.Shards, len(cfg.Capacity)),
+		deltas: make([]epochDelta, cfg.DeltaWindow),
+		tree:   tree, hierEver: tree.NonTrivial()}
+}
+
+// shortenResumCadence makes the server's table and queue tree run an
+// exact resummation every k epochs instead of the production cadence.
+// Call it before the first mutation: the epoch loop reads the cadence
+// only after receiving one.
+func shortenResumCadence(s *Server, k int) {
+	s.table.Cadence().Shorten(k)
+	s.tree.Cadence().Shorten(k)
 }
 
 // newTestServer boots a Server plus an httptest front end and registers
@@ -398,17 +417,10 @@ func mustUtility(t *testing.T, alpha0 float64, alpha ...float64) cobb.Utility {
 // queue at capacity, submit refuses immediately with queue_full and a
 // Retry-After hint rather than blocking.
 func TestQueueFullSheds(t *testing.T) {
-	cfg, err := testConfig().withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig()
 	cfg.Clock = NewFakeClock(t0)
 	// A server whose epoch loop never runs: the queue cannot drain.
-	s := &Server{cfg: cfg, clock: cfg.Clock, mutCh: make(chan mutation, 1),
-		drainCh: make(chan struct{}), doneCh: make(chan struct{}),
-		table:  newAgentTable(cfg.Shards, len(cfg.Capacity), cfg.ResumEvery, cfg.DriftRatio),
-		deltas: make([]epochDelta, cfg.DeltaWindow),
-		tree:   mustTrivialTree(cfg)}
+	s := whiteBoxServer(t, cfg)
 	s.publish(nil)
 	s.mutCh <- mutation{kind: mutLeave, name: "filler"}
 

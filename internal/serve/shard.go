@@ -1,32 +1,26 @@
 package serve
 
 import (
-	"hash/fnv"
 	"math"
-	"sort"
 
 	"ref/internal/cobb"
 	"ref/internal/core"
 )
 
-// agentEntry is one tenant in the sharded table. Beyond the wire form and
-// utility it caches everything the incremental epoch engine needs in O(R):
-// the rescaled elasticity vector (the agent's Equation 13 weight), the
-// elasticity sum, and the Σ α̂·log α̂ term of the sharing-incentive margin
-// (see auditSampled) — all computed once per declaration, never per epoch.
+// agentEntry is one tenant's payload in the agent table. The table
+// itself keeps the agent's raw rescaled weights (its Equation 13 weight)
+// and budget; the entry caches everything else the epoch engine needs in
+// O(R): the elasticity sum and the Σ α̂·log α̂ term of the
+// sharing-incentive margin (see auditSampled), both computed once per
+// declaration, never per epoch.
 type agentEntry struct {
 	wire     WireAgent
 	util     cobb.Utility
-	weight   []float64
 	elastSum float64
 	siTerm   float64
 	// queue is the canonical leaf queue holding the agent ("default"
 	// when the agent joined without one).
 	queue string
-	// budget is the agent's credit-adjusted income in the weighted
-	// Equation 13 — exactly 1 on a server without the credit ledger, so
-	// every effective weight below is the raw weight bit for bit.
-	budget float64
 	// credit is the agent's decaying usage/fair-share ledger (zero value
 	// while the ledger is disabled or the agent is fresh).
 	credit core.CreditAccount
@@ -39,279 +33,65 @@ type agentEntry struct {
 	creditLive bool
 }
 
-// eff returns the agent's effective Equation 13 weight budget·α̂. At the
-// unit budget it is the weight vector itself (no copy, bit-identical); a
-// tilted budget allocates, because callers (the tree mirror, the serial
-// publish fold) may retain the slice past further shard mutations.
-func (e *agentEntry) eff() []float64 {
-	if e.budget == 1 {
-		return e.weight
-	}
-	out := make([]float64, len(e.weight))
-	for r, w := range e.weight {
-		out[r] = e.budget * w
-	}
-	return out
-}
-
-// shard is one stripe of the agent table: its members, their canonical
-// (name-sorted) order maintained incrementally, and the shard's partial
-// per-resource weight sums with churn accounting for the drift policy.
-// Distinct shards share nothing, so per-shard epoch workers apply their
-// sub-batches in parallel without locks; the table-level combiner folds
-// the partial sums in fixed shard order to stay deterministic.
-type shard struct {
-	entries map[string]*agentEntry
-	sorted  []string
-	sums    []core.CompSum
-	churn   []float64
-	// budgetSum is the compensated running sum of the shard's budgets —
-	// the weighted mechanism's total income, maintained under the same
-	// delta discipline as the weight sums. Exactly the member count while
-	// every budget is 1 (a CompSum of ones is exact).
-	budgetSum core.CompSum
-}
-
-// insertSorted places name into the shard's canonical order (binary
-// search + shift — O(log n + n/S) per join instead of re-sorting all N
-// names every epoch).
-func (sh *shard) insertSorted(name string) {
-	i := sort.SearchStrings(sh.sorted, name)
-	sh.sorted = append(sh.sorted, "")
-	copy(sh.sorted[i+1:], sh.sorted[i:])
-	sh.sorted[i] = name
-}
-
-// removeSorted drops name from the canonical order.
-func (sh *shard) removeSorted(name string) {
-	i := sort.SearchStrings(sh.sorted, name)
-	if i < len(sh.sorted) && sh.sorted[i] == name {
-		sh.sorted = append(sh.sorted[:i], sh.sorted[i+1:]...)
-	}
-}
-
-// upsert joins or re-declares one tenant into the given leaf queue,
-// applying the O(R) effective-weight delta to the shard's running sums. It
-// returns the replaced entry's effective weight and queue (both zero for a
-// fresh join) so the epoch loop can mirror the delta into the queue tree.
-func (sh *shard) upsert(name string, wire WireAgent, util cobb.Utility, queue string) (oldW []float64, oldQueue string) {
+// declare (re)sets the entry's declaration and returns the agent's raw
+// rescaled weights for the table.
+func (e *agentEntry) declare(wire WireAgent, util cobb.Utility, queue string) []float64 {
 	w := util.Rescaled().Alpha
-	var siTerm float64
+	e.siTerm = 0
 	for _, a := range w {
 		if a > 0 {
-			siTerm += a * math.Log(a)
+			e.siTerm += a * math.Log(a)
 		}
 	}
-	if e, ok := sh.entries[name]; ok {
-		// A re-declare keeps the agent's budget (and ledger): the deltas
-		// below are between the old and new *effective* weights. At a unit
-		// budget both calls collapse to the raw vectors — the historical
-		// arithmetic exactly.
-		oldEff, oldQueue := e.eff(), e.queue
-		e.wire, e.util, e.weight, e.elastSum, e.siTerm, e.queue = wire, util, w, util.ElasticitySum(), siTerm, queue
-		core.ApplyWeightDelta(sh.sums, sh.churn, oldEff, e.eff())
-		return oldEff, oldQueue
-	}
-	core.ApplyWeightDelta(sh.sums, sh.churn, nil, w)
-	sh.entries[name] = &agentEntry{wire: wire, util: util, weight: w, elastSum: util.ElasticitySum(), siTerm: siTerm, queue: queue, budget: 1}
-	sh.budgetSum.Add(1)
-	sh.insertSorted(name)
-	return nil, ""
+	e.wire, e.util, e.elastSum, e.queue = wire, util, util.ElasticitySum(), queue
+	return w
 }
 
-// remove departs one tenant, returning the removed entry's weight and
-// queue (nil weight when the agent did not exist).
-func (sh *shard) remove(name string) (oldW []float64, oldQueue string) {
-	e, ok := sh.entries[name]
-	if !ok {
-		return nil, ""
-	}
-	eff := e.eff()
-	core.ApplyWeightDelta(sh.sums, sh.churn, eff, nil)
-	sh.budgetSum.Sub(e.budget)
-	delete(sh.entries, name)
-	sh.removeSorted(name)
-	return eff, e.queue
+// shard is one stripe of the agent table.
+type shard = core.Shard[*agentEntry]
+
+// agentView is one table row as the read paths see it: the entry plus
+// the row's raw weight and budget. The budget is exactly 1 on a server
+// without the credit ledger. The weight is a view into the table, valid
+// until the shard's next mutation.
+type agentView struct {
+	*agentEntry
+	weight []float64
+	budget float64
 }
 
-// setBudget retilts one member's budget, applying the O(R)
-// effective-weight delta against the shard's sums. It returns the old and
-// new effective weights so the caller can mirror the delta into the queue
-// tree (both nil when the budget did not change).
-func (sh *shard) setBudget(e *agentEntry, b float64) (oldEff, newEff []float64) {
-	if b == e.budget {
-		return nil, nil
-	}
-	oldEff = e.eff()
-	sh.budgetSum.Sub(e.budget)
-	e.budget = b
-	sh.budgetSum.Add(b)
-	newEff = e.eff()
-	core.ApplyWeightDelta(sh.sums, sh.churn, oldEff, newEff)
-	return oldEff, newEff
+func viewOf(sh *shard, i int) agentView {
+	return agentView{agentEntry: sh.Payload(i), weight: sh.Weight(i), budget: sh.Budget(i)}
 }
 
-// resum recomputes the shard's partial sums (and budget sum) exactly from
-// its members in canonical order (deterministic), resetting churn. The
-// unit-budget branch adds the raw weights — the historical arithmetic.
-func (sh *shard) resum() {
-	for r := range sh.sums {
-		sh.sums[r].Reset()
-		sh.churn[r] = 0
-	}
-	sh.budgetSum.Reset()
-	for _, name := range sh.sorted {
-		e := sh.entries[name]
-		sh.budgetSum.Add(e.budget)
-		w := e.weight
-		if e.budget == 1 {
-			for r := range sh.sums {
-				sh.sums[r].Add(w[r])
-			}
-			continue
-		}
-		for r := range sh.sums {
-			sh.sums[r].Add(e.budget * w[r])
-		}
-	}
-}
-
-// agentTable is the striped agent map plus the resummation policy state.
+// agentTable is core's sharded agent table with serve's entry payload.
 type agentTable struct {
-	shards     []*shard
-	nRes       int
-	resumEvery int
-	driftRatio float64
-
-	epochsSinceResum int
-	resums           int
+	*core.Table[*agentEntry]
 }
 
-func newAgentTable(shardCount, nRes, resumEvery int, driftRatio float64) *agentTable {
-	t := &agentTable{
-		shards:     make([]*shard, shardCount),
-		nRes:       nRes,
-		resumEvery: resumEvery,
-		driftRatio: driftRatio,
-	}
-	for i := range t.shards {
-		t.shards[i] = &shard{
-			entries: make(map[string]*agentEntry),
-			sums:    make([]core.CompSum, nRes),
-			churn:   make([]float64, nRes),
-		}
-	}
-	return t
+func newAgentTable(shardCount, nRes int) *agentTable {
+	return &agentTable{core.NewTable[*agentEntry](shardCount, nRes)}
 }
 
-// shardOf stripes by FNV-1a of the name.
-func (t *agentTable) shardOf(name string) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return int(h.Sum64() % uint64(len(t.shards)))
-}
-
-// get returns one entry, nil when absent.
-func (t *agentTable) get(name string) *agentEntry {
-	return t.shards[t.shardOf(name)].entries[name]
-}
-
-// count returns the total agent population (O(S)).
-func (t *agentTable) count() int {
-	n := 0
-	for _, sh := range t.shards {
-		n += len(sh.entries)
+// get returns one agent's row, ok false when absent.
+func (t *agentTable) get(name string) (agentView, bool) {
+	sh, i, ok := t.Lookup(name)
+	if !ok {
+		return agentView{}, false
 	}
-	return n
-}
-
-// combineSums folds the per-shard partial sums into dst (rounded), in
-// fixed shard order so the result is deterministic at any parallelism.
-func (t *agentTable) combineSums(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, t.nRes)
-	}
-	for r := 0; r < t.nRes; r++ {
-		var s core.CompSum
-		for _, sh := range t.shards {
-			s.Merge(sh.sums[r])
-		}
-		dst[r] = s.Value()
-	}
-	return dst
-}
-
-// combineBudgetSum folds the per-shard budget sums in fixed shard order —
-// Σ budgets over the live population, the weighted mechanism's total
-// income B (exactly the agent count while every budget is 1).
-func (t *agentTable) combineBudgetSum() float64 {
-	var s core.CompSum
-	for _, sh := range t.shards {
-		s.Merge(sh.budgetSum)
-	}
-	return s.Value()
-}
-
-// endEpoch applies the resummation policy: every resumEvery epochs all
-// shards resum exactly; otherwise any shard whose churn outran the drift
-// tolerance resums alone.
-func (t *agentTable) endEpoch() {
-	t.epochsSinceResum++
-	if t.epochsSinceResum >= t.resumEvery {
-		for _, sh := range t.shards {
-			sh.resum()
-		}
-		t.epochsSinceResum = 0
-		t.resums++
-		return
-	}
-	for _, sh := range t.shards {
-		for r := range sh.churn {
-			if sh.churn[r] > t.driftRatio*math.Max(math.Abs(sh.sums[r].Value()), math.SmallestNonzeroFloat64) {
-				sh.resum()
-				t.resums++
-				break
-			}
-		}
-	}
+	return viewOf(sh, i), true
 }
 
 // forEachSorted visits every agent in the canonical global (name-sorted)
-// order via an S-way merge of the per-shard sorted runs — O(N·S)
-// comparisons, allocation-free, and only ever invoked by materialization
-// paths (inline snapshots, exact audits, full dumps), never by the
-// steady-state epoch.
-func (t *agentTable) forEachSorted(fn func(name string, e *agentEntry)) {
-	heads := make([]int, len(t.shards))
-	for {
-		best := -1
-		for si, sh := range t.shards {
-			if heads[si] >= len(sh.sorted) {
-				continue
-			}
-			if best < 0 || sh.sorted[heads[si]] < t.shards[best].sorted[heads[best]] {
-				best = si
-			}
-		}
-		if best < 0 {
-			return
-		}
-		name := t.shards[best].sorted[heads[best]]
-		heads[best]++
-		fn(name, t.shards[best].entries[name])
-	}
+// order. Only materialization paths (inline snapshots, exact audits,
+// credit publication, tree resummation) walk the whole population.
+func (t *agentTable) forEachSorted(fn func(name string, e agentView)) {
+	t.Each(func(sh *shard, i int) { fn(sh.Name(i), viewOf(sh, i)) })
 }
 
-// entryAt resolves a global index in [0, count) to the entry at that
-// position of the concatenated per-shard canonical orders — the O(S)
-// random access the rotating audit window uses to sweep the population
-// without materializing it.
-func (t *agentTable) entryAt(i int) *agentEntry {
-	for _, sh := range t.shards {
-		if i < len(sh.sorted) {
-			return sh.entries[sh.sorted[i]]
-		}
-		i -= len(sh.sorted)
-	}
-	return nil
+// entryAt resolves a global index in [0, Len) to its row — the O(S)
+// random access the rotating audit window sweeps the population with.
+func (t *agentTable) entryAt(i int) agentView {
+	sh, j := t.At(i)
+	return viewOf(sh, j)
 }

@@ -3,7 +3,6 @@ package ref
 import (
 	"io"
 
-	"ref/internal/core"
 	"ref/internal/hier"
 	"ref/internal/serve"
 )
@@ -90,23 +89,6 @@ type HierFairness = serve.HierFairness
 // declaration.
 func DecodeQueueTreeConfig(r io.Reader) (*QueueTreeConfig, error) {
 	return hier.DecodeConfig(r)
-}
-
-// IncrementalAllocator maintains the Equation 13 allocation under
-// join/leave/update deltas in O(Δ·R) per epoch with compensated
-// per-resource sums, staying within 1 ulp of a from-scratch Allocate.
-// The allocation server builds its epochs on it; it is exported for
-// embedders running their own epoch loops.
-type IncrementalAllocator = core.IncrementalAllocator
-
-// IncrementalOptions tunes an IncrementalAllocator's exact-resummation
-// policy.
-type IncrementalOptions = core.IncrementalOptions
-
-// NewIncrementalAllocator validates the capacity vector and returns an
-// empty incremental allocator.
-func NewIncrementalAllocator(capacity []float64, opts IncrementalOptions) (*IncrementalAllocator, error) {
-	return core.NewIncrementalAllocator(capacity, opts)
 }
 
 // NewAllocationServer validates cfg, publishes the empty epoch-0
