@@ -9,6 +9,10 @@
 //	refcheck -trials 1 -seed 1 -trial-offset 1234   # replay one failing trial
 //	refcheck -trials 0 -solver-trials -1 -hier-trials -1 -credit-trials 500
 //
+// -trials also sizes the market stream, which checks on as many other
+// economies that a pass of the market certificate (the allocation
+// service's audit) implies the pairwise SI/EF/PE audits.
+//
 // -credit-trials runs the repeated-game stream: each trial replays a
 // random economy through a multi-round history under the time-aware
 // credit ledger (random half-life, clamps, and settlement intervals),

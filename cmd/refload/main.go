@@ -61,7 +61,7 @@ func main() {
 		shards      = flag.Int("shards", 256, "agent-table shards for -inproc")
 		maxBatch    = flag.Int("max-batch", 1024, "mutations per epoch for -inproc")
 		window      = flag.Duration("epoch-window", 10*time.Millisecond, "epoch batching window for -inproc")
-		auditSample = flag.Int("audit-sample", 64, "sampled-audit window size for -inproc")
+		auditSample = flag.Int("audit-sample", 64, "audit window size for -inproc (larger populations get a sampled verdict)")
 		drainWait   = flag.Duration("drain-timeout", 60*time.Second, "how long the final drain may take")
 		traceEvents = flag.Int("trace", 0, "retain the last N trace spans and embed them in the manifest (0 = off)")
 		flightRec   = flag.Int("flight-recorder", 0, "epoch flight-recorder ring size for -inproc (0 = off)")

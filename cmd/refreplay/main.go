@@ -12,7 +12,7 @@
 //	refreplay -scenario all -seed 1 -run-manifest replay.json
 //	refreplay -scenario flashcrowd -agents 96 -epochs 60 -golden
 //	refreplay -scenario credit-cycle -half-life 10s -golden
-//	refreplay -trace trace.jsonl -force-sampled -audit-sample 16
+//	refreplay -trace trace.jsonl -audit-sample 16
 //
 // Exactly one of -scenario or -trace selects the input. -half-life boots
 // the replayed server with the time-aware credit ledger and arms the
@@ -43,8 +43,7 @@ func main() {
 		queueCount  = flag.Int("queue-count", 0, "static queues declared by queue-aware scenarios (0 = default, negative disables; others ignore it)")
 		shards      = flag.Int("shards", 0, "agent-table shards (0 = serve default)")
 		deltaWindow = flag.Int("delta-window", 0, "changelog ring depth for ?since= reads (0 = serve default)")
-		forceSample = flag.Bool("force-sampled", false, "force the sampled audit and check sampled-vs-exact parity")
-		auditSample = flag.Int("audit-sample", 0, "rotating audit window size under -force-sampled (0 = serve default)")
+		auditSample = flag.Int("audit-sample", 0, "server audit window; populations above it get a sampled verdict (0 = serve default)")
 		flightRec   = flag.Int("flight-recorder", 0, "epoch flight-recorder ring size (0 = off)")
 		injectFail  = flag.Uint64("inject-audit-failure", 0, "flip the SI verdict at this epoch to exercise the anomaly path (0 = off)")
 		maxUlps     = flag.Int64("max-ulps", 0, "Equation 13 differential tolerance in ulps (0 = default)")
@@ -68,7 +67,6 @@ func main() {
 		Parallelism:             parallelism,
 		Shards:                  *shards,
 		DeltaWindow:             *deltaWindow,
-		ForceSampled:            *forceSample,
 		AuditSample:             *auditSample,
 		FlightRecorder:          *flightRec,
 		InjectAuditFailureEpoch: *injectFail,

@@ -15,6 +15,8 @@
 //     iterative-solver differential reference for Equation 13's optimality,
 //     SPL deviation-gain bounds, and metamorphic properties (permutation
 //     symmetry, resource-unit rescaling, elasticity-scale invariance);
+//   - market.go cross-validates the market certificate the allocation
+//     service audits with against the pairwise SI/EF/PE audits;
 //   - shrink.go minimizes a failing economy — fewer agents, fewer
 //     resources, rounder numbers — and renders it as a ready-to-paste Go
 //     literal;
@@ -45,7 +47,9 @@ var ErrBadConfig = errors.New("check: bad config")
 // Config tunes one property-check run.
 type Config struct {
 	// Trials is the number of random economies checked against the fast
-	// (closed-form) mechanisms.
+	// (closed-form) mechanisms, and again (other economies) in the market
+	// stream, which cross-validates the market certificate against the
+	// pairwise audits (see MarketSubjects).
 	Trials int
 	// Seed is the base seed every trial's economy is derived from.
 	Seed int64
@@ -161,7 +165,8 @@ func (c *Config) normalize() error {
 type Failure struct {
 	// Mechanism and Oracle identify what failed.
 	Mechanism, Oracle string
-	// Trial is the failing trial index; Stream is "fast" or "solver".
+	// Trial is the failing trial index; Stream names the stream ("fast",
+	// "market", "solver", "sim", "hier", or "credit").
 	Trial  int
 	Stream string
 	// EconomySeed reproduces the economy directly:
@@ -227,6 +232,14 @@ func Run(cfg Config) (*Summary, error) {
 		return nil, err
 	}
 	sum.Failures = append(sum.Failures, fails...)
+
+	if cfg.Subjects == nil {
+		fails, err := runStream(cfg, "market", cfg.Trials, MarketSubjects(), synthGen(fastGen), &checks)
+		if err != nil {
+			return nil, err
+		}
+		sum.Failures = append(sum.Failures, fails...)
+	}
 
 	if cfg.SolverTrials > 0 {
 		solverGen := GenConfig{

@@ -75,11 +75,13 @@ func recordCheck(property string, satisfied bool) {
 
 // Violation describes one failed property instance.
 type Violation struct {
-	// Property is "SI", "EF", or "PE".
+	// Property is "SI", "EF", or "PE", or one of the market
+	// certificate's checks: "demand", "income", or "clearing".
 	Property string
 	// Agent is the aggrieved agent's index.
 	Agent int
-	// Other is the envied agent for EF, -1 otherwise.
+	// Other is the envied agent for EF, the resource for demand and
+	// clearing, -1 otherwise.
 	Other int
 	// Margin quantifies the violation: how much better (relatively) the
 	// alternative is than the agent's own bundle.
@@ -93,6 +95,12 @@ func (v Violation) String() string {
 		return fmt.Sprintf("EF: agent %d envies agent %d (margin %.3g)", v.Agent, v.Other, v.Margin)
 	case "SI":
 		return fmt.Sprintf("SI: agent %d prefers the equal split (margin %.3g)", v.Agent, v.Margin)
+	case "demand":
+		return fmt.Sprintf("demand: agent %d's row is not its demand at resource %d's price (margin %.3g)", v.Agent, v.Other, v.Margin)
+	case "income":
+		return fmt.Sprintf("income: agent %d's row does not cost its budget (margin %.3g)", v.Agent, v.Margin)
+	case "clearing":
+		return fmt.Sprintf("clearing: resource %d's rows do not sum to its capacity (margin %.3g)", v.Other, v.Margin)
 	default:
 		return fmt.Sprintf("%s: agent %d (margin %.3g)", v.Property, v.Agent, v.Margin)
 	}

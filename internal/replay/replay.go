@@ -70,13 +70,10 @@ type Options struct {
 	Shards int
 	// DeltaWindow overrides the changelog ring depth (0 = serve default).
 	DeltaWindow int
-	// ForceSampled forces the sampled audit (AuditExactBelow = -1)
-	// regardless of population, enabling the sampled-vs-exact parity
-	// invariant: the harness re-audits exactly and the two verdicts must
-	// agree.
-	ForceSampled bool
-	// AuditSample sets the rotating window size under ForceSampled
-	// (0 = serve default).
+	// AuditSample sets the server's rotating audit window (0 = serve
+	// default). A live population above it makes the server's verdict
+	// sampled, which the harness's pairwise oracle re-audit of every
+	// snapshot then cross-checks.
 	AuditSample int
 	// FlightRecorder enables the serve flight recorder with the given
 	// ring depth (0 = disabled).
@@ -252,10 +249,7 @@ func Run(t *Trace, opts Options) (*Result, error) {
 		CreditHalfLife:       opts.CreditHalfLife,
 		CreditMinBudget:      opts.CreditMinBudget,
 		CreditMaxBudget:      opts.CreditMaxBudget,
-	}
-	if opts.ForceSampled {
-		cfg.AuditExactBelow = -1
-		cfg.AuditSample = opts.AuditSample
+		AuditSample:          opts.AuditSample,
 	}
 
 	d := &driver{
@@ -943,10 +937,10 @@ func (d *driver) queueAgentCounts() map[string]int {
 
 // checkFairnessVerdict asserts the server's own audit verdict: clean on
 // every epoch (Equation 13 guarantees SI/EF/PE) except the injected one,
-// and in the audit mode the configuration demands. Under ForceSampled
-// this is the sampled-audit-parity invariant — the harness's exact
-// oracle re-audit (checkEpoch above) and the server's sampled verdict
-// must agree that the allocation is fair.
+// and sampled exactly when the live population exceeds the audit window.
+// On sampled epochs this is the sampled-audit-parity invariant — the
+// harness's pairwise oracle re-audit (checkEpoch above) and the server's
+// sampled verdict must agree that the allocation is fair.
 func (d *driver) checkFairnessVerdict(snap *serve.Snapshot) {
 	d.res.Checks++
 	f := snap.Fairness
@@ -960,11 +954,12 @@ func (d *driver) checkFairnessVerdict(snap *serve.Snapshot) {
 		d.violate("epoch %d: no fairness verdict", snap.Epoch)
 		return
 	}
-	if d.opts.ForceSampled && !f.Sampled {
-		d.violate("epoch %d: exact audit ran despite ForceSampled", snap.Epoch)
+	window := d.opts.AuditSample
+	if window <= 0 {
+		window = serve.DefaultAuditSample
 	}
-	if !d.opts.ForceSampled && f.Sampled {
-		d.violate("epoch %d: sampled audit ran for %d agents without ForceSampled", snap.Epoch, len(d.mirror))
+	if want := len(d.mirror) > window; f.Sampled != want {
+		d.violate("epoch %d: sampled=%v for %d agents and audit window %d", snap.Epoch, f.Sampled, len(d.mirror), window)
 	}
 	if snap.Epoch == d.opts.InjectAuditFailureEpoch && d.opts.InjectAuditFailureEpoch > 0 {
 		if f.SI {

@@ -133,13 +133,14 @@ func TestReplayFromFile(t *testing.T) {
 	}
 }
 
-// TestReplaySampledParity forces the sampled audit on the churn-heavy
-// scenario: the server's sampled verdict and the harness's exact oracle
-// re-audit must both come back clean, and the sampled flag must be set
-// on every non-empty epoch.
+// TestReplaySampledParity shrinks the audit window below the churn-heavy
+// scenario's population: the server's sampled verdict and the harness's
+// pairwise oracle re-audit must both come back clean, and the sampled
+// flag must be set exactly on the epochs whose population exceeds the
+// window.
 func TestReplaySampledParity(t *testing.T) {
 	res := mustRun(t, ScenarioAdversarialChurn, ScenarioConfig{Seed: 5},
-		Options{ForceSampled: true, AuditSample: 8})
+		Options{AuditSample: 8})
 	if res.Failed() {
 		t.Fatalf("violations:\n%s", strings.Join(res.Violations, "\n"))
 	}
@@ -207,10 +208,17 @@ func TestHarnessFlagsBadVerdict(t *testing.T) {
 		t.Error("missing fairness verdict not flagged")
 	}
 
-	d = newDriver(Options{ForceSampled: true})
+	d = newDriver(Options{})
+	d.checkFairnessVerdict(&serve.Snapshot{Epoch: 1, Fairness: &serve.Fairness{SI: true, EF: true, PE: true, Sampled: true}})
+	if len(d.res.Violations) == 0 {
+		t.Error("sampled verdict for a population inside the audit window not flagged")
+	}
+
+	two := map[string]mirrorAgent{"a": mirror["a"], "b": {wire: serve.WireAgent{Name: "b", Alpha0: 1, Elasticities: []float64{2, 1}}}}
+	d = &driver{res: &Result{}, opts: Options{AuditSample: 1}, mirror: two}
 	d.checkFairnessVerdict(&serve.Snapshot{Epoch: 1, Fairness: &serve.Fairness{SI: true, EF: true, PE: true}})
 	if len(d.res.Violations) == 0 {
-		t.Error("exact audit under ForceSampled not flagged")
+		t.Error("whole-table verdict for a population above the audit window not flagged")
 	}
 
 	d = newDriver(Options{InjectAuditFailureEpoch: 2})

@@ -41,13 +41,15 @@ type Fairness struct {
 	PE bool `json:"pe"`
 	// Violations lists human-readable findings when any property fails.
 	Violations []string `json:"violations,omitempty"`
-	// Sampled reports that the audit ran over a sample (population above
-	// the exact-audit threshold) rather than the whole agent set. A
-	// sampled audit can only find violations the exact audit would also
-	// find, but may miss violations outside the sample.
+	// Sampled reports that the population exceeds Config.AuditSample, so
+	// the market certificate covered the batch-touched agents plus the
+	// rotating window rather than the whole table. Each covered agent is
+	// certified against every other agent, but an uncovered agent's row
+	// waits for the window to reach it, and market clearing is not
+	// re-checked (it holds analytically from the running sums).
 	Sampled bool `json:"sampled,omitempty"`
-	// SampleSize counts the agents the sampled audit covered this epoch
-	// (batch-touched agents plus the rotating window).
+	// SampleSize counts the agents a sampled audit covered this epoch
+	// (batch-touched agents, repeats included, plus the window).
 	SampleSize int `json:"sample_size,omitempty"`
 	// Hier is the hierarchical fairness audit between sibling subtrees
 	// (hier.AuditTree), present only when user-declared queues exist.

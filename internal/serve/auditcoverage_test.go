@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// auditRecorder collects the names each sampled audit visited, one set
+// auditRecorder collects the names each audit visited, one set
 // per epoch, through the auditObserver test seam.
 type auditRecorder struct {
 	mu     sync.Mutex
@@ -45,7 +45,6 @@ func TestSampledAuditCoverage(t *testing.T) {
 	)
 	rec := &auditRecorder{}
 	cfg := testConfig()
-	cfg.AuditExactBelow = -1 // always sample
 	cfg.AuditSample = k
 	cfg.auditObserver = rec.observe
 	s, ts := newTestServer(t, cfg)
@@ -117,7 +116,7 @@ func corruptWeight(t *testing.T, s *Server, name string, factor float64) {
 }
 
 // TestSampledAuditMatchesExactOnCorruption is the parity check the
-// sampled fast path owes the exact audit: on a deliberately corrupted
+// window audit owes the whole-table audit: on a deliberately corrupted
 // economy both must fail, and on the same economy uncorrupted both must
 // pass — sampling may not launder a fairness violation into a green
 // verdict.
@@ -126,10 +125,10 @@ func TestSampledAuditMatchesExactOnCorruption(t *testing.T) {
 	verdict := func(sampled, corrupt bool) *Fairness {
 		cfg := testConfig()
 		if sampled {
-			cfg.AuditExactBelow = -1
-			cfg.AuditSample = n // full-coverage sample: parity, not luck
-		} else {
-			cfg.AuditExactBelow = 1 << 20
+			// One short of the table, so the verdict is sampled; the
+			// window plus the touched t0 cover all but one agent, and the
+			// cursor position after these joins puts the victim inside.
+			cfg.AuditSample = n - 1
 		}
 		s, ts := newTestServer(t, cfg)
 		for i := 0; i < n; i++ {

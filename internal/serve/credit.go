@@ -60,9 +60,9 @@ func (s *Server) creditPass() {
 // the audit: it stores every tenant's realized share rate (computed from
 // the same published row a client would read, so a replay mirror fed the
 // snapshot stream reproduces the ledger), marks tenants live for the next
-// settlement, and assembles the epoch's credit rollup, total income, and
-// per-leaf incomes. The walk is O(N·R) — the cost of running credits, as
-// documented on Config.CreditHalfLife. Callers hold stateMu.
+// settlement, and assembles the epoch's credit rollup. The walk is
+// O(N·R) — the cost of running credits, as documented on
+// Config.CreditHalfLife. Callers hold stateMu.
 func (s *Server) creditPublish(snap *Snapshot, n int) {
 	roll := &CreditRollup{
 		HalfLifeSeconds: s.credit.HalfLifeSeconds,
@@ -78,11 +78,8 @@ func (s *Server) creditPublish(snap *Snapshot, n int) {
 	if inline {
 		snap.Budgets = make([]float64, 0, n)
 	}
-	for _, lp := range s.pubLeaf {
-		lp.bsum = 0
-	}
 	s.table.forEachSorted(func(_ string, e agentView) {
-		e.shareRate = core.ShareRate(s.rowFor(e, n), s.cfg.Capacity)
+		e.shareRate = core.ShareRate(s.rowFor(e), s.cfg.Capacity)
 		e.creditLive = true
 		b := e.budget
 		hist.Observe(b)
@@ -94,9 +91,6 @@ func (s *Server) creditPublish(snap *Snapshot, n int) {
 		}
 		usageSum.Add(e.credit.Usage)
 		fairSum.Add(e.credit.Fair)
-		if lp, ok := s.pubLeaf[e.queue]; ok {
-			lp.bsum += b
-		}
 		if inline {
 			snap.Budgets = append(snap.Budgets, b)
 		}
@@ -107,7 +101,6 @@ func (s *Server) creditPublish(snap *Snapshot, n int) {
 	roll.BudgetSum = s.table.BudgetSum()
 	roll.UsageSum = usageSum.Value()
 	roll.FairSum = fairSum.Value()
-	s.pubBudgetSum = roll.BudgetSum
 	s.creditLastN = n
 	snap.Credit = roll
 }

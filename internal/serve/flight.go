@@ -51,7 +51,8 @@ type EpochRecord struct {
 	AuditSeconds    float64 `json:"audit_seconds"`
 	PublishSeconds  float64 `json:"publish_seconds"`
 	TotalSeconds    float64 `json:"total_seconds"`
-	// AuditMode is "exact", "sampled", or "none" (empty agent set).
+	// AuditMode is "exact" (the whole table), "sampled", or "none"
+	// (empty agent set).
 	AuditMode string `json:"audit_mode"`
 	// SI/EF/PE are the audit verdict (false-false-false when AuditMode
 	// is "none").
@@ -60,10 +61,10 @@ type EpochRecord struct {
 	PE bool `json:"pe"`
 	// Violations counts audit findings.
 	Violations int `json:"violations,omitempty"`
-	// SampleSize is the sampled audit's coverage this epoch.
+	// SampleSize is a sampled audit's coverage this epoch.
 	SampleSize int `json:"sample_size,omitempty"`
-	// SIMarginMin is the smallest sampled SI log margin (0 when the
-	// epoch audited exactly; negative means an SI violation).
+	// SIMarginMin is the smallest SI log margin the audit observed
+	// (negative means an agent prefers its entitlement split).
 	SIMarginMin float64 `json:"si_margin_min,omitempty"`
 	// Shed counts writes refused since the previous epoch.
 	Shed int64 `json:"shed,omitempty"`
@@ -133,14 +134,13 @@ func (s *Server) buildEpochRecord(snap *Snapshot, tm *epochTiming, agents, batch
 	if fair := snap.Fairness; fair != nil {
 		rec.SI, rec.EF, rec.PE = fair.SI, fair.EF, fair.PE
 		rec.Violations = len(fair.Violations)
+		rec.AuditMode = "exact"
 		if fair.Sampled {
 			rec.AuditMode = "sampled"
 			rec.SampleSize = fair.SampleSize
-			if siMargin == siMargin { // not NaN
-				rec.SIMarginMin = siMargin
-			}
-		} else {
-			rec.AuditMode = "exact"
+		}
+		if siMargin == siMargin { // not NaN
+			rec.SIMarginMin = siMargin
 		}
 		if h := fair.Hier; h != nil {
 			rec.ReclaimMoved = h.ReclaimMoved

@@ -141,7 +141,6 @@ func TestGoldenSnapshotShapes(t *testing.T) {
 	t.Run("elided", func(t *testing.T) {
 		cfg := testConfig()
 		cfg.InlineSnapshotAgents = -1
-		cfg.AuditExactBelow = -1
 		cfg.AuditSample = 2
 		cfg.CreditHalfLife = 20 * time.Second
 		s, clk, base := goldenServer(t, cfg)

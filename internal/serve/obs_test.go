@@ -104,7 +104,7 @@ func TestFlightRecorderEpochRecords(t *testing.T) {
 		t.Errorf("record agents = %d, want 2", last.Agents)
 	}
 	if last.AuditMode != "exact" {
-		t.Errorf("record audit mode = %q, want exact (2 agents, default exact threshold)", last.AuditMode)
+		t.Errorf("record audit mode = %q, want exact (2 agents, inside the default audit window)", last.AuditMode)
 	}
 	if !last.SI || !last.EF || !last.PE {
 		t.Errorf("record verdict = %v/%v/%v, want all true", last.SI, last.EF, last.PE)

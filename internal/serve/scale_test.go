@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 
 	"ref/internal/cobb"
 	"ref/internal/core"
+	"ref/internal/fair"
 )
 
 // patch PATCHes a raw-elasticity re-declaration and decodes the ack.
@@ -165,7 +167,7 @@ func TestDeltaRead(t *testing.T) {
 func TestElidedSnapshot(t *testing.T) {
 	cfg := testConfig()
 	cfg.InlineSnapshotAgents = -1
-	cfg.AuditExactBelow = -1 // force the sampled audit too
+	cfg.AuditSample = 1 // and a sampled audit
 	_, ts := newTestServer(t, cfg)
 
 	ack := join(t, ts.URL, "a", 2, 1)
@@ -291,15 +293,14 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestSampledAuditAgreesWithExact cross-checks the scaled audit against
-// the full internal/fair audit on the same live economy: with the
-// rotating window covering the whole population, the sampled audit's
-// verdicts must match the exact suite's (which, for Equation 13 rows,
-// means all three properties hold).
+// TestSampledAuditAgreesWithExact cross-checks the window audit against
+// the whole-table audit and the pairwise internal/fair oracles on the
+// same published rows: on the live economy all three must pass, and once
+// one agent's row is corrupted all three must fail — the window through
+// the corrupted agent being batch-touched.
 func TestSampledAuditAgreesWithExact(t *testing.T) {
-	cfg := testConfig()
-	cfg.AuditSample = 128
-	s, err := New(cfg)
+	const n = 96
+	s, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,25 +309,58 @@ func TestSampledAuditAgreesWithExact(t *testing.T) {
 		defer cancel()
 		_ = s.Close(ctx)
 	}()
-	populate(t, s, 96, 13)
+	populate(t, s, n, 13)
 
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	n := s.table.Len()
-	sums := s.table.Sums(nil)
-	exact := s.auditExact(n, sums)
-	sampled := s.auditSampled(n, sums, nil)
-	if !exact.SI || !exact.EF || !exact.PE {
-		t.Fatalf("exact audit failed on a mechanism allocation: %+v", exact)
+	verdicts := func(touched []string) (window, whole *Fairness, pairwise []string) {
+		s.cfg.AuditSample = 32
+		window = s.audit(n, touched)
+		s.cfg.AuditSample = n
+		whole = s.audit(n, nil)
+		var utils []cobb.Utility
+		var rows [][]float64
+		s.table.forEachSorted(func(_ string, e agentView) {
+			utils = append(utils, e.util)
+			rows = append(rows, s.rowFor(e))
+		})
+		tol := fair.DefaultTolerance()
+		si, err1 := fair.SharingIncentives(utils, s.cfg.Capacity, rows, tol)
+		ef, err2 := fair.EnvyFreeness(utils, rows, tol)
+		pe, err3 := fair.ParetoEfficiency(utils, s.cfg.Capacity, rows, tol)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []fair.Result{si, ef, pe} {
+			for _, v := range res.Violations {
+				pairwise = append(pairwise, v.String())
+			}
+		}
+		return window, whole, pairwise
 	}
-	if sampled.SI != exact.SI || sampled.EF != exact.EF || sampled.PE != exact.PE {
-		t.Fatalf("sampled audit %+v disagrees with exact %+v", sampled, exact)
+	clean := func(f *Fairness) bool { return f.SI && f.EF && f.PE && len(f.Violations) == 0 }
+
+	window, whole, pairwise := verdicts(nil)
+	if !clean(window) || !clean(whole) || len(pairwise) != 0 {
+		t.Fatalf("live economy: window %+v, whole %+v, pairwise %v", window, whole, pairwise)
 	}
-	if !sampled.Sampled || sampled.SampleSize != 96 {
-		t.Fatalf("sampled audit metadata %+v", sampled)
+	if !window.Sampled || window.SampleSize != 32 || whole.Sampled || whole.SampleSize != 0 {
+		t.Fatalf("audit metadata: window %+v, whole %+v", window, whole)
 	}
-	if len(sampled.Violations) != 0 {
-		t.Fatalf("sampled audit violations on a fair economy: %v", sampled.Violations)
+
+	// The victim values both resources, so its inflated row also breaks
+	// the pairwise tangency condition.
+	var victim string
+	s.table.forEachSorted(func(name string, e agentView) {
+		if victim == "" && e.weight[0] > 0 && e.weight[1] > 0 {
+			victim = name
+		}
+	})
+	e, _ := s.table.get(victim)
+	e.weight[0] *= 4
+	window, whole, pairwise = verdicts([]string{victim})
+	if clean(window) || clean(whole) || len(pairwise) == 0 {
+		t.Fatalf("corrupted economy: window %+v, whole %+v, pairwise %v", window, whole, pairwise)
 	}
 }
 
@@ -338,7 +372,6 @@ func benchServer(tb testing.TB, n, batch int) (*Server, []mutation) {
 	s := whiteBoxServer(tb, Config{
 		Capacity:             []float64{24, 12},
 		InlineSnapshotAgents: -1,
-		AuditExactBelow:      -1,
 		AuditSample:          64,
 		Shards:               64,
 		Clock:                NewFakeClock(t0),

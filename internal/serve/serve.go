@@ -25,10 +25,15 @@
 // behave exactly as before); above it the snapshot elides them
 // (AgentsElided/AgentCount) and clients read point allocations
 // (GET /v1/allocation?agent=X) or deltas (?since=EPOCH) answered from
-// the table without serializing millions of entries. The fairness audit
-// likewise runs exactly below AuditExactBelow agents and switches to a
-// sampled audit (cached per-agent SI margins plus a rotating EF/tangency
-// window) above it.
+// the table without serializing millions of entries.
+//
+// Every epoch audits the published rows with the market certificate:
+// Equation 13 is the competitive equilibrium at prices p_r = S_r/C_r, so
+// an agent whose row is its Cobb-Douglas demand at its budget (O(R) to
+// check) is certified SI, and EF and PE against every other agent of its
+// market. The audit covers the batch's touched agents plus a rotating
+// window of AuditSample agents; while the population fits in the window
+// it covers everyone, also checks market clearing, and is not sampled.
 //
 // Robustness is part of the contract:
 //
@@ -84,16 +89,17 @@ const (
 	// MetricResums counts exact resummations of the incremental sums
 	// (periodic or drift-triggered).
 	MetricResums = "ref_serve_resums_total"
-	// MetricAuditMode reports the live audit mode: 0 exact, 1 sampled.
+	// MetricAuditMode reports the live audit mode: 0 whole table, 1
+	// sampled (population above AuditSample).
 	MetricAuditMode = "ref_serve_audit_mode"
 	// MetricAuditCoverage is the fraction of the population the latest
-	// audit covered (1 for the exact audit, sample/N for the sampled one).
+	// audit covered (1 for the whole table, sample/N when sampled).
 	MetricAuditCoverage = "ref_serve_audit_coverage"
-	// MetricSIMargin is the histogram of sampled per-agent SI log margins
+	// MetricSIMargin is the histogram of audited per-agent SI log margins
 	// (distance from preferring the equal split; negative = violation).
 	MetricSIMargin = "ref_serve_si_margin"
-	// MetricSIMarginMin is the smallest SI log margin the latest sampled
-	// audit observed.
+	// MetricSIMarginMin is the smallest SI log margin the latest audit
+	// observed.
 	MetricSIMarginMin = "ref_serve_si_margin_min"
 	// MetricSLOGood / MetricSLOBad count epochs that met / missed the
 	// configured epoch-latency SLO.
@@ -135,6 +141,10 @@ const (
 	MetricCreditFairSum  = "ref_serve_credit_fair_sum"
 )
 
+// DefaultAuditSample is the audit window a zero Config.AuditSample
+// selects.
+const DefaultAuditSample = 256
+
 // Config parameterizes a Server. The zero value of every field except
 // Capacity selects a sensible default.
 type Config struct {
@@ -157,8 +167,7 @@ type Config struct {
 	// cancels the wait.
 	RequestTimeout time.Duration
 	// Parallelism is the internal/par pool width used for the per-shard
-	// batch apply and the per-epoch fairness audit
-	// (0 = $REF_PARALLELISM, else GOMAXPROCS).
+	// batch apply (0 = $REF_PARALLELISM, else GOMAXPROCS).
 	Parallelism int
 	// ProfileAccesses is the per-configuration simulation budget used
 	// when a tenant joins with a workload profile instead of raw
@@ -209,14 +218,12 @@ type Config struct {
 	// (default 4096). Above it snapshots set AgentsElided/AgentCount and
 	// clients use point or delta reads. Negative never inlines.
 	InlineSnapshotAgents int
-	// AuditExactBelow is the largest population audited with the exact
-	// §4 suite every epoch (default 512). Above it the sampled audit
-	// runs instead. Negative always samples.
-	AuditExactBelow int
-	// AuditSample is the rotating audit-window size for the sampled
-	// audit (default 256). Successive epochs sweep disjoint windows, so
-	// the whole population is re-audited every ~N/AuditSample epochs;
-	// agents touched by the current batch are always audited.
+	// AuditSample is the rotating audit-window size (default
+	// DefaultAuditSample). Each epoch certifies the agents its batch
+	// touched plus the next AuditSample agents of the table, so the whole
+	// population is re-audited every ~N/AuditSample epochs. While
+	// N ≤ AuditSample the window is the whole table and the verdict is
+	// not Sampled.
 	AuditSample int
 	// DeltaWindow is how many epochs of changes the server retains for
 	// GET /v1/allocation?since=E (default 64). Older cursors get
@@ -254,8 +261,8 @@ type Config struct {
 	// deterministically.
 	AuditHook func(*Fairness)
 
-	// auditObserver, when set, receives the names the sampled audit
-	// covered each epoch — the tap behind the audit-coverage tests.
+	// auditObserver, when set, receives the names the audit covered each
+	// epoch — the tap behind the audit-coverage tests.
 	auditObserver func(names []string)
 }
 
@@ -308,11 +315,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.InlineSnapshotAgents == 0 {
 		c.InlineSnapshotAgents = 4096
 	}
-	if c.AuditExactBelow == 0 {
-		c.AuditExactBelow = 512
-	}
 	if c.AuditSample <= 0 {
-		c.AuditSample = 256
+		c.AuditSample = DefaultAuditSample
 	}
 	if c.DeltaWindow <= 0 {
 		c.DeltaWindow = 64
@@ -424,7 +428,6 @@ type Server struct {
 	// latest published snapshot.
 	stateMu             sync.RWMutex
 	table               *agentTable
-	pubSums             []float64 // rounded combined sums backing the published rows
 	deltas              []epochDelta
 	deltaHead, deltaLen int
 	auditCursor         int
@@ -440,22 +443,23 @@ type Server struct {
 	// the publish path is byte-identical to the historical flat one.
 	tree     *hier.Tree
 	hierEver bool
+	// flat is the published flat market: the rounded combined sums
+	// backing the published rows, the capacity, and the population.
+	flat market
 	// pubLeaf / pubQueues / pubQIdx are the published hierarchical
-	// state backing point and delta reads: per-leaf sums+share+count
-	// for O(R) row reads, the rollup set of the published snapshot, and
-	// its name index. All nil while the tree is trivial.
-	pubLeaf   map[string]*leafPub
+	// state backing point and delta reads: per-leaf markets for O(R) row
+	// reads, the rollup set of the published snapshot, and its name
+	// index. All nil while the tree is trivial.
+	pubLeaf   map[string]*market
 	pubQueues []QueueRollup
 	pubQIdx   map[string]int
 
 	// Steady-state epoch scratch, reused so an epoch's allocations are
-	// proportional to its batch (and audit sample), never to the total
-	// population.
+	// proportional to its batch, never to the total population.
 	resScratch   []mutationResult
 	shardMuts    [][]int
 	activeShards []int
-	sumScratch   []float64
-	logScratch   []float64
+	rowScratch   []float64
 	treeCap      []treeDelta
 	treeW        []float64
 	effScratch   []float64
@@ -469,9 +473,8 @@ type Server struct {
 	// shedSinceEpoch counts shed writes since the last published epoch,
 	// feeding the shed_spike anomaly trigger.
 	shedSinceEpoch atomic.Int64
-	// lastSIMargin is the smallest SI log margin the latest sampled
-	// audit observed (NaN when the epoch audited exactly or not at
-	// all). Guarded by stateMu.
+	// lastSIMargin is the smallest SI log margin the latest audit
+	// observed (NaN when the epoch audited nobody). Guarded by stateMu.
 	lastSIMargin float64
 	// timingScratch is the per-epoch stage-timestamp scratch, reused so
 	// tracing adds no steady-state allocations.
@@ -481,13 +484,10 @@ type Server struct {
 	// disabled — without Config.CreditHalfLife). creditLast and
 	// creditLastN are the previous publication's clock reading and
 	// population: the interval the next credit pass integrates over and
-	// its equal-split denominator. pubBudgetSum is the published total
-	// income Σ budgets backing the sampled audit's entitlement margins.
-	// All guarded by stateMu.
-	credit       core.CreditParams
-	creditLast   time.Time
-	creditLastN  int
-	pubBudgetSum float64
+	// its equal-split denominator. Both guarded by stateMu.
+	credit      core.CreditParams
+	creditLast  time.Time
+	creditLastN int
 }
 
 // New validates cfg, publishes the empty epoch-0 snapshot, and starts the
@@ -635,17 +635,25 @@ type treeDelta struct {
 	has        bool
 }
 
-// leafPub is one leaf queue's published row context: the aggregate
-// elasticity sums, the leaf's allocated share, and its direct agent
-// count — everything an O(R) per-agent row read needs.
-type leafPub struct {
+// market is one published Equation 13 market — the flat economy, or a
+// leaf queue — as its rows see it: the budgeted elasticity sums, the
+// capacity (or leaf share) the members split, and the member count —
+// everything an O(R) per-agent row read needs.
+type market struct {
 	sums  []float64
 	share []float64
 	n     int
-	// bsum is the leaf's total income Σ budgets over its direct agents,
-	// filled by creditPublish (0 while the ledger is disabled) — the
-	// entitlement denominator of the leaf-relative sampled audit.
-	bsum float64
+	// total accumulates the members' rows for the whole-table audit's
+	// clearing check.
+	total []core.CompSum
+}
+
+// resetTotal zeroes the clearing accumulators.
+func (m *market) resetTotal() {
+	if len(m.total) != len(m.share) {
+		m.total = make([]core.CompSum, len(m.share))
+	}
+	clear(m.total)
 }
 
 // treeEach adapts the canonical table walk to the tree's resummation
@@ -660,15 +668,19 @@ func (s *Server) treeEach(visit func(queue string, weight []float64)) {
 	})
 }
 
-// rowFor computes one agent's published allocation row: from its leaf
-// queue's share and aggregate when the tree is non-trivial, from the
-// global sums otherwise. n is the total population (the flat
-// denominator's equal-split fallback).
-func (s *Server) rowFor(e agentView, n int) []float64 {
+// marketOf resolves the published market agent e trades in: its leaf
+// queue when the tree is non-trivial, the flat economy otherwise.
+func (s *Server) marketOf(e agentView) *market {
 	if lp, ok := s.pubLeaf[e.queue]; ok {
-		return core.RowFromSumsBudgeted(nil, e.weight, e.budget, lp.sums, lp.share, lp.n)
+		return lp
 	}
-	return core.RowFromSumsBudgeted(nil, e.weight, e.budget, s.pubSums, s.cfg.Capacity, n)
+	return &s.flat
+}
+
+// rowFor computes one agent's published allocation row from its market.
+func (s *Server) rowFor(e agentView) []float64 {
+	mk := s.marketOf(e)
+	return core.RowFromSumsBudgeted(nil, e.weight, e.budget, mk.sums, mk.share, mk.n)
 }
 
 // queueRollupFor returns the published rollup of e's leaf queue, nil on
@@ -907,7 +919,7 @@ func (s *Server) runEpoch(batch []mutation) {
 		res.epoch = snap.Epoch
 		if res.err == nil && (m.kind == mutJoin || m.kind == mutUpdate) {
 			if e, ok := s.table.get(m.name); ok {
-				res.row = s.rowFor(e, n)
+				res.row = s.rowFor(e)
 				res.queue = e.wire.Queue
 			}
 		}
@@ -1188,15 +1200,13 @@ func (s *Server) publish(info *batchInfo) *Snapshot {
 // threshold the snapshot materializes agents and allocation rows in
 // canonical order; above it both are elided and served through point and
 // delta reads. touched lists the names this batch upserted, which the
-// sampled audit always includes. tm, when non-nil, receives the
-// allocate/audit/publish stage timestamps for the flight recorder and
-// tracer.
+// audit always includes. tm, when non-nil, receives the allocate/audit/
+// publish stage timestamps for the flight recorder and tracer.
 func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming) *Snapshot {
 	n := s.table.Len()
 	s.lastSIMargin = math.NaN()
-	sums := s.table.Sums(s.sumScratch)
-	s.sumScratch = sums
-	s.pubSums = append(s.pubSums[:0], sums...)
+	s.flat.sums = s.table.Sums(s.flat.sums)
+	s.flat.share, s.flat.n = s.cfg.Capacity, n
 
 	snap := &Snapshot{
 		Schema:   Schema,
@@ -1217,12 +1227,12 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 	var al *hier.Alloc
 	if s.tree.NonTrivial() {
 		al = s.tree.Allocate()
-		leaf := make(map[string]*leafPub, len(al.Queues))
+		leaf := make(map[string]*market, len(al.Queues))
 		idx := make(map[string]int, len(al.Queues))
 		rollups := make([]QueueRollup, 0, len(al.Queues))
 		for _, qa := range al.Queues {
 			if qa.Leaf {
-				leaf[qa.Name] = &leafPub{
+				leaf[qa.Name] = &market{
 					sums:  s.tree.LeafSums(qa.Name, nil),
 					share: qa.Share,
 					n:     s.tree.LeafAgents(qa.Name),
@@ -1247,7 +1257,7 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 		snap.Allocation = make([][]float64, 0, n)
 		s.table.forEachSorted(func(_ string, e agentView) {
 			snap.Agents = append(snap.Agents, e.wire)
-			snap.Allocation = append(snap.Allocation, s.rowFor(e, n))
+			snap.Allocation = append(snap.Allocation, s.rowFor(e))
 		})
 	} else {
 		snap.AgentsElided = true
@@ -1256,9 +1266,7 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 
 	// With the ledger enabled, close the credit loop against the state
 	// just published: store every tenant's realized share rate (what the
-	// next pass integrates as usage), assemble the credit rollup, and
-	// stage the budget context the audits below need (total income, per-
-	// leaf income). Runs before the audit so the weighted audits see it.
+	// next pass integrates as usage) and assemble the credit rollup.
 	if s.credit.Enabled() {
 		s.creditPublish(snap, n)
 	}
@@ -1268,14 +1276,7 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 	}
 
 	if n > 0 {
-		switch {
-		case al != nil:
-			snap.Fairness = s.auditHier(n, touched)
-		case s.cfg.AuditExactBelow >= 0 && n <= s.cfg.AuditExactBelow:
-			snap.Fairness = s.auditExact(n, sums)
-		default:
-			snap.Fairness = s.auditSampled(n, sums, touched)
-		}
+		snap.Fairness = s.audit(n, touched)
 	}
 	if al != nil && snap.Fairness != nil {
 		rep := hier.AuditTree(s.tree, al, 0)
@@ -1320,7 +1321,7 @@ func (s *Server) AgentRow(name string) *AgentAllocationResponse {
 		Schema:     Schema,
 		Epoch:      s.snap.Load().Epoch,
 		Agent:      e.wire,
-		Allocation: s.rowFor(e, s.table.Len()),
+		Allocation: s.rowFor(e),
 		Queue:      s.queueRollupFor(e),
 	}
 	if s.credit.Enabled() {
@@ -1375,12 +1376,11 @@ func (s *Server) DeltaSince(since uint64) *DeltaResponse {
 			qseen[name] = struct{}{}
 		}
 	}
-	n := s.table.Len()
 	for name := range seen {
 		if e, ok := s.table.get(name); ok {
 			ch := DeltaChange{
 				Agent:      e.wire,
-				Allocation: s.rowFor(e, n),
+				Allocation: s.rowFor(e),
 			}
 			if s.credit.Enabled() {
 				ch.Budget = e.budget

@@ -1,23 +1,17 @@
 package serve
 
 import (
-	"math"
-
 	"ref/internal/cobb"
 	"ref/internal/core"
 )
 
 // agentEntry is one tenant's payload in the agent table. The table
 // itself keeps the agent's raw rescaled weights (its Equation 13 weight)
-// and budget; the entry caches everything else the epoch engine needs in
-// O(R): the elasticity sum and the Σ α̂·log α̂ term of the
-// sharing-incentive margin (see auditSampled), both computed once per
-// declaration, never per epoch.
+// and budget; the entry keeps the declaration — the wire form and the
+// utility the audit takes α̂ from — and the credit ledger state.
 type agentEntry struct {
-	wire     WireAgent
-	util     cobb.Utility
-	elastSum float64
-	siTerm   float64
+	wire WireAgent
+	util cobb.Utility
 	// queue is the canonical leaf queue holding the agent ("default"
 	// when the agent joined without one).
 	queue string
@@ -36,15 +30,8 @@ type agentEntry struct {
 // declare (re)sets the entry's declaration and returns the agent's raw
 // rescaled weights for the table.
 func (e *agentEntry) declare(wire WireAgent, util cobb.Utility, queue string) []float64 {
-	w := util.Rescaled().Alpha
-	e.siTerm = 0
-	for _, a := range w {
-		if a > 0 {
-			e.siTerm += a * math.Log(a)
-		}
-	}
-	e.wire, e.util, e.elastSum, e.queue = wire, util, util.ElasticitySum(), queue
-	return w
+	e.wire, e.util, e.queue = wire, util, queue
+	return util.Rescaled().Alpha
 }
 
 // shard is one stripe of the agent table.
@@ -83,8 +70,8 @@ func (t *agentTable) get(name string) (agentView, bool) {
 }
 
 // forEachSorted visits every agent in the canonical global (name-sorted)
-// order. Only materialization paths (inline snapshots, exact audits,
-// credit publication, tree resummation) walk the whole population.
+// order. Only materialization paths (inline snapshots, credit
+// publication, tree resummation) walk the whole population.
 func (t *agentTable) forEachSorted(fn func(name string, e agentView)) {
 	t.Each(func(sh *shard, i int) { fn(sh.Name(i), viewOf(sh, i)) })
 }
