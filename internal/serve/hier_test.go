@@ -450,3 +450,28 @@ func TestHierAuditThreeLevel(t *testing.T) {
 		t.Fatalf("flight record queues = %d, want 5", last.Queues)
 	}
 }
+
+// TestHierAuditZeroShareLeaf: a floor-only leaf (weight 0) with no quota
+// of resource 1 gets no share of it, though an agent in it values it.
+// The certificate treats the resource as untraded in that leaf — the
+// agent's row must be empty there, and its income covers only what it
+// can buy — so the whole-table verdict stays clean.
+func TestHierAuditZeroShareLeaf(t *testing.T) {
+	zero := 0.0
+	cfg := testConfig()
+	cfg.Queues = []hier.QueueConfig{
+		{Name: "floor", Weight: &zero, Quota: []float64{4, 0}},
+		{Name: "rest"},
+	}
+	s, ts := newTestServer(t, cfg)
+	joinQ(t, ts.URL, "a", "floor", 1, 2)
+	joinQ(t, ts.URL, "b", "floor", 2, 0)
+	joinQ(t, ts.URL, "c", "rest", 1, 1)
+	snap := s.Current()
+	if snap.Allocation[0][1] != 0 {
+		t.Fatalf("agent a got %v of a resource its leaf has no share of", snap.Allocation[0][1])
+	}
+	if f := snap.Fairness; f == nil || f.Sampled || !f.SI || !f.EF || !f.PE {
+		t.Fatalf("verdict %+v", f)
+	}
+}
