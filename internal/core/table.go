@@ -175,49 +175,132 @@ func (t *Table[P]) Resum() {
 // Cadence returns the table's resummation clock.
 func (t *Table[P]) Cadence() *Cadence { return &t.cadence }
 
+// eachStackShards is the shard count up to which Each keeps its merge
+// state on the stack, so a walk at the serving default of 32 (a credit
+// publication, an inline snapshot, a queue-tree resummation) allocates
+// nothing.
+const eachStackShards = 64
+
+// mergeHead is one shard's cursor in Each's merge: its next row and that
+// row's name, cached so a comparison touches no shard. The k heads also
+// hold the tournament's k-1 matches: loser is the shard that lost match
+// node n, kept on head n (heads and matches share one array, so a walk
+// above eachStackShards allocates once).
+type mergeHead struct {
+	name  string
+	row   int
+	loser int32
+	live  bool
+}
+
+// beats reports whether head a comes before head b in the merge: a live
+// head beats an exhausted one, and live heads compare by name (names are
+// unique across the table, so live heads never tie).
+func beats(a, b *mergeHead) bool { return a.live && (!b.live || a.name < b.name) }
+
 // Each visits every agent in the canonical global (name-sorted) order
-// through an S-way merge of the shards' sorted runs — O(N·S)
-// comparisons. fn must not mutate the table.
+// through a loser-tree merge of the shards' sorted runs: the S shard
+// heads are the leaves of a tournament whose internal nodes keep each
+// match's loser, so advancing the winner replays only its leaf-to-root
+// path — ⌈log₂ S⌉ name comparisons per agent, O(N·log S) in all. The
+// merge state stays on the stack up to eachStackShards shards and is
+// allocated once per walk above that. fn must not mutate the table.
 func (t *Table[P]) Each(fn func(sh *Shard[P], i int)) {
-	// The merge heads stay on the stack up to 64 shards, so a walk at
-	// the serving default of 32 (a queue-tree resummation) allocates
-	// nothing.
-	var buf [64]int
-	heads := buf[:0]
-	if len(t.shards) <= len(buf) {
-		heads = buf[:len(t.shards)]
-	} else {
-		heads = make([]int, len(t.shards))
+	k := len(t.shards)
+	if k == 0 {
+		return
 	}
-	for {
-		best := -1
-		for si, sh := range t.shards {
-			if heads[si] >= len(sh.names) {
-				continue
-			}
-			if best < 0 || sh.names[heads[si]] < t.shards[best].names[heads[best]] {
-				best = si
+	var buf [eachStackShards]mergeHead
+	heads := buf[:]
+	if k > eachStackShards {
+		heads = make([]mergeHead, k)
+	}
+	heads = heads[:k]
+	for si, sh := range t.shards {
+		if len(sh.names) > 0 {
+			heads[si] = mergeHead{name: sh.names[0], live: true}
+		}
+	}
+	// Node n of the tournament has children 2n and 2n+1; nodes 1..k-1
+	// are matches and node k+s is shard s's leaf.
+	w := playoff(heads, 1)
+	for heads[w].live {
+		sh, h := t.shards[w], &heads[w]
+		fn(sh, h.row)
+		h.row++
+		if h.row < len(sh.names) {
+			h.name = sh.names[h.row]
+		} else {
+			h.name, h.live = "", false
+		}
+		for n := (k + w) >> 1; n > 0; n >>= 1 {
+			if l := int(heads[n].loser); beats(&heads[l], &heads[w]) {
+				heads[n].loser, w = int32(w), l
 			}
 		}
-		if best < 0 {
-			return
-		}
-		fn(t.shards[best], heads[best])
-		heads[best]++
 	}
 }
 
+// playoff plays the tournament below node n from scratch, recording
+// each match's loser, and returns the subtree's winner.
+func playoff(heads []mergeHead, n int) int {
+	k := len(heads)
+	if n >= k {
+		return n - k
+	}
+	a, b := playoff(heads, 2*n), playoff(heads, 2*n+1)
+	if beats(&heads[b], &heads[a]) {
+		a, b = b, a
+	}
+	heads[n].loser = int32(b)
+	return a
+}
+
 // At resolves a global index in [0, Len) to its shard and row in the
-// concatenation of the shards' canonical orders — the O(S) random access
-// a rotating audit window sweeps the population with.
+// concatenation of the shards' canonical orders — an O(S) random access.
 func (t *Table[P]) At(i int) (*Shard[P], int) {
-	for _, sh := range t.shards {
+	si, row := t.at(i)
+	if si < 0 {
+		return nil, 0
+	}
+	return t.shards[si], row
+}
+
+// at is At by shard index, -1 when i is out of range.
+func (t *Table[P]) at(i int) (si, row int) {
+	for si, sh := range t.shards {
 		if i < len(sh.names) {
-			return sh, i
+			return si, i
 		}
 		i -= len(sh.names)
 	}
-	return nil, 0
+	return -1, 0
+}
+
+// Window visits k ≤ Len rows of the shards' concatenated canonical
+// orders, starting at global index start in [0, Len) and wrapping at
+// Len — the rotating audit window's sweep. It resolves start in O(S) and
+// then steps through the shards, O(S + k) in all. fn must not mutate the
+// table.
+func (t *Table[P]) Window(start, k int, fn func(sh *Shard[P], i int)) {
+	if k <= 0 {
+		return
+	}
+	si, row := t.at(start)
+	if si < 0 {
+		return
+	}
+	for {
+		fn(t.shards[si], row)
+		if k--; k == 0 {
+			return
+		}
+		// Step to the next row, skipping exhausted and empty shards and
+		// wrapping from the last shard to the first.
+		for row++; row >= len(t.shards[si].names); row = 0 {
+			si = (si + 1) % len(t.shards)
+		}
+	}
 }
 
 // Len returns the shard's member count.

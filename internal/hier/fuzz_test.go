@@ -17,14 +17,14 @@ func FuzzQueueTreeDecode(f *testing.F) {
 	seeds := []string{
 		`{"queues":[]}`,
 		`{"schema":"ref/queues/v1","queues":[{"name":"a"},{"name":"b","parent":"a","quota":[1,2]}]}`,
-		`{"queues":[{"name":"a","parent":"a"}]}`,                                  // self cycle
-		`{"queues":[{"name":"a","parent":"b"},{"name":"b","parent":"a"}]}`,        // two cycle
-		`{"queues":[{"name":"a"},{"name":"a"}]}`,                                  // duplicate
-		`{"queues":[{"name":"a","quota":[-1,0]}]}`,                                // negative quota
-		`{"queues":[{"name":"a","weight":-2}]}`,                                   // negative weight
-		`{"queues":[{"name":"a","quota":[1e308,1e308]}]}`,                         // quota over capacity
+		`{"queues":[{"name":"a","parent":"a"}]}`,                           // self cycle
+		`{"queues":[{"name":"a","parent":"b"},{"name":"b","parent":"a"}]}`, // two cycle
+		`{"queues":[{"name":"a"},{"name":"a"}]}`,                           // duplicate
+		`{"queues":[{"name":"a","quota":[-1,0]}]}`,                         // negative quota
+		`{"queues":[{"name":"a","weight":-2}]}`,                            // negative weight
+		`{"queues":[{"name":"a","quota":[1e308,1e308]}]}`,                  // quota over capacity
 		`{"queues":[{"name":"p","quota":[1,1]},{"name":"c","parent":"p","quota":[2,0]}]}`,
-		`{"queues":[{"name":"default"}]}`,                                         // reserved name
+		`{"queues":[{"name":"default"}]}`, // reserved name
 		`{"queues":[{"name":"a","weight":0},{"name":"b","quota":[0.5,0.25],"weight":3}]}`,
 	}
 	for _, s := range seeds {

@@ -644,8 +644,24 @@ func (t *Tree) Delete(name string) error {
 // AgentDelta applies one agent mutation to the aggregates along the
 // leaf-to-root path — O(depth·R). oldW nil is a join, newW nil is a
 // leave; both set moves the agent's weight in place. oldQueue and
-// newQueue differ when an agent re-declares into another leaf.
+// newQueue differ when an agent re-declares into another leaf. A
+// re-declare or retilt within one leaf takes a single walk that moves
+// each aggregate by sub-old then add-new — per resource the same float
+// sequence as two walks, so the sums are bit-identical.
 func (t *Tree) AgentDelta(oldQueue, newQueue string, oldW, newW []float64) error {
+	if oldW != nil && newW != nil && CanonicalQueue(oldQueue) == CanonicalQueue(newQueue) {
+		n := t.lookup(CanonicalQueue(newQueue))
+		if n == nil {
+			return fmt.Errorf("agent delta: unknown queue %q", newQueue)
+		}
+		if !n.isLeaf() {
+			return fmt.Errorf("agent delta: queue %q is not a leaf", newQueue)
+		}
+		for ; n != nil; n = n.parent {
+			n.sums.Apply(oldW, newW)
+		}
+		return nil
+	}
 	if oldW != nil {
 		n := t.lookup(CanonicalQueue(oldQueue))
 		if n == nil {

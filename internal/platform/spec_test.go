@@ -89,10 +89,10 @@ func TestSpecValidateRejectsDegenerates(t *testing.T) {
 	cases := []Spec{
 		{},
 		{Dims: []ResourceDim{{Name: "", Capacity: 1, Levels: []float64{1}, Apply: BandwidthDim().Apply}}},
-		{Dims: []ResourceDim{BandwidthDim(), BandwidthDim()}}, // duplicate name
-		{Dims: []ResourceDim{{Name: "x", Capacity: 1, Levels: []float64{1}}}},           // no Apply
+		{Dims: []ResourceDim{BandwidthDim(), BandwidthDim()}},                 // duplicate name
+		{Dims: []ResourceDim{{Name: "x", Capacity: 1, Levels: []float64{1}}}}, // no Apply
 		{Dims: []ResourceDim{{Name: "x", Capacity: 0, Levels: []float64{1}, Apply: BandwidthDim().Apply}}},
-		{Dims: []ResourceDim{{Name: "x", Capacity: 1, Apply: BandwidthDim().Apply}}},    // no levels
+		{Dims: []ResourceDim{{Name: "x", Capacity: 1, Apply: BandwidthDim().Apply}}}, // no levels
 		{Dims: []ResourceDim{{Name: "x", Capacity: 1, Levels: []float64{2, 1}, Apply: BandwidthDim().Apply}}},
 	}
 	for i, s := range cases {

@@ -39,9 +39,7 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 		k = s.cfg.AuditSample
 		f.Sampled = true
 	}
-	if len(s.rowScratch) != len(s.cfg.Capacity) {
-		s.rowScratch = make([]float64, len(s.cfg.Capacity))
-	}
+	scratch := s.scratchRow()
 	var names []string
 	// The SI log margins are telemetry: the histogram shows how much SI
 	// headroom the population has, the minimum (a gauge and a flight
@@ -51,7 +49,7 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 	audited := 0
 	visit := func(e agentView) {
 		mk := s.marketOf(e)
-		row := core.RowFromSumsBudgeted(s.rowScratch, e.weight, e.budget, mk.sums, mk.share, mk.n)
+		row := core.RowFromSumsBudgeted(scratch, e.weight, e.budget, mk.sums, mk.share, mk.n)
 		if v, ok := (fair.Market{Sums: mk.sums, Capacity: mk.share}).Certify(e.util, row, e.budget); !ok {
 			v.Agent = audited
 			s.fail(f, e.queue, v)
@@ -74,9 +72,7 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 			visit(e)
 		}
 	}
-	for i := 0; i < k; i++ {
-		visit(s.table.entryAt((s.auditCursor + i) % n))
-	}
+	s.table.Window(s.auditCursor%n, k, func(sh *shard, i int) { visit(viewOf(sh, i)) })
 	s.auditCursor = (s.auditCursor + k) % n
 	if f.Sampled {
 		f.SampleSize = audited

@@ -61,7 +61,8 @@ func (s *Server) creditPass() {
 // the same published row a client would read, so a replay mirror fed the
 // snapshot stream reproduces the ledger), marks tenants live for the next
 // settlement, and assembles the epoch's credit rollup. The walk is
-// O(N·R) — the cost of running credits, as documented on
+// O(N·R) with no per-agent allocation (each row lands in the scratch
+// row) — the cost of running credits, as documented on
 // Config.CreditHalfLife. Callers hold stateMu.
 func (s *Server) creditPublish(snap *Snapshot, n int) {
 	roll := &CreditRollup{
@@ -78,8 +79,9 @@ func (s *Server) creditPublish(snap *Snapshot, n int) {
 	if inline {
 		snap.Budgets = make([]float64, 0, n)
 	}
+	row := s.scratchRow()
 	s.table.forEachSorted(func(_ string, e agentView) {
-		e.shareRate = core.ShareRate(s.rowFor(e), s.cfg.Capacity)
+		e.shareRate = core.ShareRate(s.rowFor(row, e), s.cfg.Capacity)
 		e.creditLive = true
 		b := e.budget
 		hist.Observe(b)

@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"net/http"
 	"testing"
+	"time"
 
 	"ref/internal/cobb"
 	"ref/internal/core"
 	"ref/internal/fair"
+	"ref/internal/hier"
 )
 
 // patch PATCHes a raw-elasticity re-declaration and decodes the ack.
@@ -322,7 +324,7 @@ func TestSampledAuditAgreesWithExact(t *testing.T) {
 		var rows [][]float64
 		s.table.forEachSorted(func(_ string, e agentView) {
 			utils = append(utils, e.util)
-			rows = append(rows, s.rowFor(e))
+			rows = append(rows, s.rowFor(nil, e))
 		})
 		tol := fair.DefaultTolerance()
 		si, err1 := fair.SharingIncentives(utils, s.cfg.Capacity, rows, tol)
@@ -366,22 +368,46 @@ func TestSampledAuditAgreesWithExact(t *testing.T) {
 
 // benchServer builds a server with n agents preloaded directly into the
 // sharded table (bypassing the epoch loop) and an update-only batch of
-// size batch ready to replay, for white-box epoch measurements.
-func benchServer(tb testing.TB, n, batch int) (*Server, []mutation) {
+// size batch ready to replay, for white-box epoch measurements. With
+// creditTree the server runs the credit ledger at the serving default of
+// 32 shards and spreads the agents over benchTree's leaves — the shape of
+// the repo benchmark's tenants workload.
+func benchServer(tb testing.TB, n, batch int, creditTree bool) (*Server, []mutation) {
 	tb.Helper()
-	s := whiteBoxServer(tb, Config{
+	cfg := Config{
 		Capacity:             []float64{24, 12},
 		InlineSnapshotAgents: -1,
 		AuditSample:          64,
 		Shards:               64,
 		Clock:                NewFakeClock(t0),
-	})
+	}
+	var leaves []string
+	if creditTree {
+		cfg.Shards = 32
+		cfg.Queues, leaves = benchTree(cfg.Capacity)
+	}
+	s := whiteBoxServer(tb, cfg)
+	if creditTree {
+		s.credit = core.CreditParams{HalfLifeSeconds: 30}.WithDefaults()
+		s.creditLast = s.clock.Now()
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("agent%07d", i)
 		u := scaleUtility(rng, 2)
+		wire, queue := WireAgent{Name: name, Alpha0: u.Alpha0, Elasticities: u.Alpha}, hier.DefaultQueue
+		if leaves != nil {
+			queue = leaves[i%len(leaves)]
+			wire.Queue = queue
+		}
 		e := &agentEntry{}
-		s.table.Upsert(name, e, e.declare(WireAgent{Name: name, Alpha0: u.Alpha0, Elasticities: u.Alpha}, u, "default"))
+		w := e.declare(wire, u, queue)
+		s.table.Upsert(name, e, w)
+		if leaves != nil {
+			if err := s.tree.AgentDelta("", queue, nil, w); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
 	s.publish(nil)
 	muts := make([]mutation, batch)
@@ -394,9 +420,35 @@ func benchServer(tb testing.TB, n, batch int) (*Server, []mutation) {
 	return s, muts
 }
 
+// benchTree is a 4 × 4 queue tree over capacity: four orgs whose quota
+// floors sum to half of it, each with four leaves of over-quota weights
+// 4, 2, 1 and 0. It returns the declarations, parents first, and the
+// leaf names.
+func benchTree(capacity []float64) (queues []hier.QueueConfig, leaves []string) {
+	for o, share := range []float64{0.2, 0.15, 0.1, 0.05} {
+		org := fmt.Sprintf("org%d", o)
+		quota := make([]float64, len(capacity))
+		for r, c := range capacity {
+			quota[r] = share * c
+		}
+		queues = append(queues, hier.QueueConfig{Name: org, Quota: quota})
+		for l, w := range []float64{4, 2, 1, 0} {
+			leaf := fmt.Sprintf("%s-leaf%d", org, l)
+			queues = append(queues, hier.QueueConfig{Name: leaf, Parent: org, Weight: &w})
+			leaves = append(leaves, leaf)
+		}
+	}
+	return queues, leaves
+}
+
 // runScratchEpoch replays the prepared batch through one epoch,
-// attaching fresh reply channels and draining them.
+// attaching fresh reply channels and draining them. With the credit
+// ledger on, the fake clock first moves one 50 ms window, so every
+// tenant accrues and its budget retilts.
 func runScratchEpoch(s *Server, muts []mutation) {
+	if s.credit.Enabled() {
+		s.clock.(*FakeClock).Advance(50 * time.Millisecond)
+	}
 	for i := range muts {
 		muts[i].reply = make(chan mutationResult, 1)
 	}
@@ -420,7 +472,7 @@ func TestSteadyStateEpochAllocsFlat(t *testing.T) {
 		t.Skip("allocation counting at N=8192 in -short mode")
 	}
 	measure := func(n int) float64 {
-		s, muts := benchServer(t, n, 32)
+		s, muts := benchServer(t, n, 32, false)
 		runScratchEpoch(s, muts) // warm scratch buffers
 		return testing.AllocsPerRun(10, func() { runScratchEpoch(s, muts) })
 	}
@@ -431,19 +483,50 @@ func TestSteadyStateEpochAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestCreditTreeEpochAllocsFlat is the same fence for a credit-on epoch
+// on a queue tree: the credit pass retilts every budget through the
+// tree and the credit publication recomputes every row, both O(N) walks,
+// but neither may allocate per agent. Budgets move every epoch (the fake
+// clock advances), so the one-walk tree retilt and the scratch row are
+// both on the measured path.
+func TestCreditTreeEpochAllocsFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting at N=8192 in -short mode")
+	}
+	measure := func(n int) float64 {
+		s, muts := benchServer(t, n, 16, true)
+		runScratchEpoch(s, muts) // warm scratch buffers and the ledger
+		runScratchEpoch(s, muts)
+		if c := s.snap.Load().Credit; c == nil || c.TiltMax == c.TiltMin {
+			t.Fatalf("N=%d: credit budgets did not move: %+v", n, c)
+		}
+		return testing.AllocsPerRun(10, func() { runScratchEpoch(s, muts) })
+	}
+	small := measure(1024)
+	large := measure(8192)
+	t.Logf("credit-on tree epoch: %v allocs at N=1024, %v at N=8192", small, large)
+	if large > small*1.5+64 {
+		t.Fatalf("credit-on tree epoch allocations scale with population: %v at N=1024 vs %v at N=8192", small, large)
+	}
+}
+
 // BenchmarkServeEpoch measures the full service epoch (batch apply,
 // resummation policy, publish with sampled audit, replies) at increasing
 // populations — the serve-layer counterpart of the core engine's
 // BenchmarkEpochIncremental.
 func BenchmarkServeEpoch(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			s, muts := benchServer(b, n, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runScratchEpoch(s, muts)
-			}
-		})
+	run := func(b *testing.B, n, batch int, creditTree bool) {
+		s, muts := benchServer(b, n, batch, creditTree)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runScratchEpoch(s, muts)
+		}
 	}
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { run(b, n, 64, false) })
+	}
+	// A credit-on epoch of the repo benchmark's tenants workload: 20k
+	// agents on the 4 × 4 tree, 16 updates.
+	b.Run("credit-tree/N=20000", func(b *testing.B) { run(b, 20_000, 16, true) })
 }

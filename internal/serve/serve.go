@@ -190,9 +190,11 @@ type Config struct {
 	// [CreditMinBudget, CreditMaxBudget] — becomes the tenant's budget in
 	// the weighted Equation 13. Zero (the default) disables the ledger
 	// entirely: every budget stays exactly 1 and the epoch path is
-	// byte-identical to the unweighted engine. Note the credit pass walks
-	// the whole population each epoch (O(N·R)); it is intended for epoch
-	// windows where that is affordable, not for the million-agent
+	// byte-identical to the unweighted engine. Note a credit epoch walks
+	// the whole population twice — the settlement pass in shard order,
+	// the publication in canonical order (an O(N·log S) merge) — and
+	// costs O(N·R) with no per-agent allocation; it is intended for
+	// epoch windows where that is affordable, not for the million-agent
 	// O(Δ)-per-epoch regime.
 	CreditHalfLife time.Duration
 	// CreditMinBudget / CreditMaxBudget bound the budget tilt (defaults
@@ -677,10 +679,21 @@ func (s *Server) marketOf(e agentView) *market {
 	return &s.flat
 }
 
-// rowFor computes one agent's published allocation row from its market.
-func (s *Server) rowFor(e agentView) []float64 {
+// rowFor computes one agent's published allocation row from its market
+// into dst, allocated when nil: read paths whose rows escape into a
+// response pass nil, per-epoch walks pass scratchRow.
+func (s *Server) rowFor(dst []float64, e agentView) []float64 {
 	mk := s.marketOf(e)
-	return core.RowFromSumsBudgeted(nil, e.weight, e.budget, mk.sums, mk.share, mk.n)
+	return core.RowFromSumsBudgeted(dst, e.weight, e.budget, mk.sums, mk.share, mk.n)
+}
+
+// scratchRow returns the server's O(R) scratch row, overwritten by the
+// next per-epoch walk that uses it. Callers hold stateMu.
+func (s *Server) scratchRow() []float64 {
+	if len(s.rowScratch) != len(s.cfg.Capacity) {
+		s.rowScratch = make([]float64, len(s.cfg.Capacity))
+	}
+	return s.rowScratch
 }
 
 // queueRollupFor returns the published rollup of e's leaf queue, nil on
@@ -919,7 +932,7 @@ func (s *Server) runEpoch(batch []mutation) {
 		res.epoch = snap.Epoch
 		if res.err == nil && (m.kind == mutJoin || m.kind == mutUpdate) {
 			if e, ok := s.table.get(m.name); ok {
-				res.row = s.rowFor(e)
+				res.row = s.rowFor(nil, e)
 				res.queue = e.wire.Queue
 			}
 		}
@@ -1257,7 +1270,7 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 		snap.Allocation = make([][]float64, 0, n)
 		s.table.forEachSorted(func(_ string, e agentView) {
 			snap.Agents = append(snap.Agents, e.wire)
-			snap.Allocation = append(snap.Allocation, s.rowFor(e))
+			snap.Allocation = append(snap.Allocation, s.rowFor(nil, e))
 		})
 	} else {
 		snap.AgentsElided = true
@@ -1321,7 +1334,7 @@ func (s *Server) AgentRow(name string) *AgentAllocationResponse {
 		Schema:     Schema,
 		Epoch:      s.snap.Load().Epoch,
 		Agent:      e.wire,
-		Allocation: s.rowFor(e),
+		Allocation: s.rowFor(nil, e),
 		Queue:      s.queueRollupFor(e),
 	}
 	if s.credit.Enabled() {
@@ -1380,7 +1393,7 @@ func (s *Server) DeltaSince(since uint64) *DeltaResponse {
 		if e, ok := s.table.get(name); ok {
 			ch := DeltaChange{
 				Agent:      e.wire,
-				Allocation: s.rowFor(e),
+				Allocation: s.rowFor(nil, e),
 			}
 			if s.credit.Enabled() {
 				ch.Budget = e.budget

@@ -75,10 +75,3 @@ func (t *agentTable) get(name string) (agentView, bool) {
 func (t *agentTable) forEachSorted(fn func(name string, e agentView)) {
 	t.Each(func(sh *shard, i int) { fn(sh.Name(i), viewOf(sh, i)) })
 }
-
-// entryAt resolves a global index in [0, Len) to its row — the O(S)
-// random access the rotating audit window sweeps the population with.
-func (t *agentTable) entryAt(i int) agentView {
-	sh, j := t.At(i)
-	return viewOf(sh, j)
-}

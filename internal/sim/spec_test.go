@@ -134,7 +134,7 @@ func TestCoRunSpecErrors(t *testing.T) {
 	spec := platform.ThreeResource()
 	ws := []trace.Config{cWorkload(t), mWorkload(t)}
 	cases := [][][]float64{
-		nil, // wrong allocation count
+		nil,                            // wrong allocation count
 		{{6.4, 1, 1}, {6.4, 1}},        // dim mismatch
 		{{6.4, 1, 1}, {6.4, 0, 1}},     // non-positive share
 		{{12.8, 1, 2}, {12.8, 1, 1}},   // bandwidth over capacity
