@@ -204,3 +204,107 @@ func TestRowFromSumsBudgetedUnitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestRowShareRateBitIdentical: the fused share-rate kernel equals
+// ShareRate of the materialized budgeted row, bit for bit, including
+// the equal-split fallback and leaf shares below capacity.
+func TestRowShareRateBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 2000; trial++ {
+		nRes := 1 + rng.Intn(5)
+		w := make([]float64, nRes)
+		sums := make([]float64, nRes)
+		share := make([]float64, nRes)
+		capacity := make([]float64, nRes)
+		for r := range w {
+			w[r] = 2 * rng.Float64()
+			sums[r] = w[r] + 5*rng.Float64()
+			if rng.Float64() < 0.1 {
+				w[r], sums[r] = 0, 0 // nobody wants r: equal-split fallback
+			}
+			capacity[r] = 1 + 99*rng.Float64()
+			share[r] = capacity[r] * rng.Float64()
+		}
+		budget := 0.25 + 2*rng.Float64()
+		if trial%4 == 0 {
+			budget = 1
+		}
+		n := 1 + rng.Intn(20)
+		want := ShareRate(RowFromSumsBudgeted(nil, w, budget, sums, share, n), capacity)
+		if got := RowShareRate(w, budget, sums, share, n, capacity); got != want {
+			t.Fatalf("trial %d: RowShareRate %v, ShareRate of the row %v", trial, got, want)
+		}
+	}
+}
+
+// TestTableRebuild drives the caller-walked rebuild the serve credit
+// pass runs: a walk that moves budgets commits sums bit-identical to
+// SetBudget followed by an exact Resum and restarts the cadence; a walk
+// that moves none leaves the running sums untouched, bit for bit.
+func TestTableRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	capacity := []float64{24, 12}
+	build := func() *Table[struct{}] {
+		rng := rand.New(rand.NewSource(41))
+		tab := NewTable[struct{}](testShards, len(capacity))
+		for i := 0; i < 300; i++ {
+			tab.Upsert(fmt.Sprintf("t%03d", i), struct{}{}, cobb.MustNew(1, 0.05+rng.Float64(), 0.05+rng.Float64()).Rescaled().Alpha)
+		}
+		return tab
+	}
+	walk := func(tab *Table[struct{}], budget func(name string, old float64) float64) bool {
+		tab.BeginRebuild()
+		for si := 0; si < tab.NumShards(); si++ {
+			sh := tab.Shard(si)
+			for i := 0; i < sh.Len(); i++ {
+				sh.RebuildRow(i, budget(sh.Name(i), sh.Budget(i)))
+			}
+		}
+		return tab.EndRebuild()
+	}
+	tilt := func(name string, _ float64) float64 { return 0.5 + float64(len(name)%7+int(name[len(name)-1]))/97 }
+
+	// Unchanged budgets: the delta-maintained sums stay as they were.
+	tab := build()
+	for i := 0; i < 300; i += 3 {
+		tab.Upsert(fmt.Sprintf("t%03d", i), struct{}{}, cobb.MustNew(1, rng.Float64()+0.01, rng.Float64()+0.01).Rescaled().Alpha)
+	}
+	before, bsum, resums := tab.Sums(nil), tab.BudgetSum(), tab.Cadence().Resums()
+	if walk(tab, func(_ string, old float64) float64 { return old }) {
+		t.Fatal("a walk that moved no budget committed")
+	}
+	for r, v := range tab.Sums(nil) {
+		if v != before[r] {
+			t.Fatalf("resource %d: untouched sums moved from %v to %v", r, before[r], v)
+		}
+	}
+	if tab.BudgetSum() != bsum || tab.Cadence().Resums() != resums {
+		t.Fatal("a walk that moved no budget touched the budget sum or the cadence")
+	}
+
+	// Moved budgets: the commit equals SetBudget then an exact Resum.
+	ref := build()
+	tab = build()
+	for si := 0; si < ref.NumShards(); si++ {
+		sh := ref.Shard(si)
+		for i := 0; i < sh.Len(); i++ {
+			sh.SetBudget(i, tilt(sh.Name(i), sh.Budget(i)))
+		}
+	}
+	ref.Resum()
+	if !walk(tab, tilt) {
+		t.Fatal("a walk that moved budgets did not commit")
+	}
+	want, got := ref.Sums(nil), tab.Sums(nil)
+	for r := range want {
+		if got[r] != want[r] {
+			t.Fatalf("resource %d: rebuilt %v, SetBudget+Resum %v", r, got[r], want[r])
+		}
+	}
+	if got, want := tab.BudgetSum(), ref.BudgetSum(); got != want {
+		t.Fatalf("budget sum: rebuilt %v, SetBudget+Resum %v", got, want)
+	}
+	if tab.Cadence().Resums() != 1 {
+		t.Fatalf("a committed rebuild counted %d resummations, want 1", tab.Cadence().Resums())
+	}
+}

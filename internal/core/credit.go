@@ -145,3 +145,21 @@ func ShareRate(row, capacity []float64) float64 {
 	}
 	return s / float64(len(capacity))
 }
+
+// RowShareRate is ShareRate(RowFromSumsBudgeted(nil, weight, budget,
+// sums, share, n), capacity) without materializing the row: the same
+// per-resource expressions in the same order, so the result is
+// bit-identical and an O(N) settlement walk needs no scratch row.
+func RowShareRate(weight []float64, budget float64, sums, share []float64, n int, capacity []float64) float64 {
+	var s float64
+	for r := range capacity {
+		var x float64
+		if sums[r] > 0 {
+			x = budget * weight[r] / sums[r] * share[r]
+		} else {
+			x = share[r] / float64(n)
+		}
+		s += x / capacity[r]
+	}
+	return s / float64(len(capacity))
+}

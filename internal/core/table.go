@@ -45,6 +45,12 @@ type Shard[P any] struct {
 	// budget is 1, since a CompSum of ones is exact).
 	sums      RunningSums
 	budgetSum CompSum
+	// spare and spareBudget accumulate an exact rebuild (see
+	// BeginRebuild) until it commits by swapping them in; changed
+	// records whether the rebuild walk moved any budget.
+	spare       RunningSums
+	spareBudget CompSum
+	changed     bool
 	// effOld/effNew are O(R) scratch for budget-scaled weight vectors,
 	// so no mutation allocates.
 	effOld, effNew []float64
@@ -58,6 +64,7 @@ func NewTable[P any](shardCount, nRes int) *Table[P] {
 		t.shards[i] = &Shard[P]{
 			nRes:   nRes,
 			sums:   NewRunningSums(nRes),
+			spare:  NewRunningSums(nRes),
 			effOld: make([]float64, nRes),
 			effNew: make([]float64, nRes),
 		}
@@ -65,17 +72,21 @@ func NewTable[P any](shardCount, nRes int) *Table[P] {
 	return t
 }
 
-// ShardOf returns the stripe of name: 64-bit FNV-1a of the name modulo
-// the stripe count. It is computed inline (hash/fnv's interface value
-// would cost two allocations per call inside this generic type).
-func (t *Table[P]) ShardOf(name string) int {
+// ShardOf returns the stripe of name in a table of shardCount stripes:
+// 64-bit FNV-1a of the name modulo the stripe count. It is computed
+// inline (hash/fnv's interface value would cost two allocations per
+// call).
+func ShardOf(name string, shardCount int) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	return int(h % uint64(len(t.shards)))
+	return int(h % uint64(shardCount))
 }
+
+// ShardOf returns the stripe of name.
+func (t *Table[P]) ShardOf(name string) int { return ShardOf(name, len(t.shards)) }
 
 // NumShards returns the stripe count.
 func (t *Table[P]) NumShards() int { return len(t.shards) }
@@ -170,6 +181,44 @@ func (t *Table[P]) Resum() {
 		sh.resum()
 	}
 	t.cadence.Resummed(true)
+}
+
+// BeginRebuild starts an exact resummation driven by the caller's own
+// walk: the caller then visits every row of every shard once, in
+// canonical order within each shard, through Shard.RebuildRow, and
+// closes with EndRebuild. It is resum's arithmetic, so a walk that
+// also retilts budgets (the serve credit pass) settles and resums the
+// table in one visit.
+func (t *Table[P]) BeginRebuild() {
+	for _, sh := range t.shards {
+		sh.spare.Reset()
+		sh.spareBudget.Reset()
+		sh.changed = false
+	}
+}
+
+// EndRebuild closes a rebuild. When the walk moved any budget, every
+// shard's running sums are replaced by the rebuilt ones — an exact
+// resummation that restarts the cadence — and it reports true. When no
+// budget moved, the running sums are left untouched, bit for bit, and
+// it reports false.
+func (t *Table[P]) EndRebuild() bool {
+	changed := false
+	for _, sh := range t.shards {
+		changed = changed || sh.changed
+	}
+	if !changed {
+		return false
+	}
+	for _, sh := range t.shards {
+		// The rebuilt sums were added without churn accounting, so
+		// swapping them in resets churn as resum does.
+		sh.sums, sh.spare = sh.spare, sh.sums
+		sh.budgetSum = sh.spareBudget
+		sh.changed = false
+	}
+	t.cadence.Resummed(true)
+	return true
 }
 
 // Cadence returns the table's resummation clock.
@@ -422,6 +471,23 @@ func (sh *Shard[P]) resum() {
 			sh.sums.sums[r].Add(b * w[r])
 		}
 	}
+}
+
+// RebuildRow sets row i's budget to b without moving the running sums
+// and folds the row into the table's rebuild (see BeginRebuild). It
+// returns the row's effective weight budget·α̂ — the raw weights
+// themselves at the unit budget, so unit budgets rebuild every sum
+// bit-identical to the unweighted mechanism — as a view valid until the
+// shard's next mutation or RebuildRow.
+func (sh *Shard[P]) RebuildRow(i int, b float64) []float64 {
+	if b != sh.budgets[i] {
+		sh.budgets[i] = b
+		sh.changed = true
+	}
+	sh.spareBudget.Add(b)
+	eff := ScaleWeights(sh.effNew, sh.Weight(i), b)
+	sh.spare.Add(eff)
+	return eff
 }
 
 // ScaleWeights writes budget·w into dst when the budget differs from 1 and

@@ -195,6 +195,11 @@ type node struct {
 	subAgents int // agents anywhere in the subtree
 
 	sums core.RunningSums // subtree aggregate of rescaled elasticities
+	// spare accumulates an exact rebuild (see BeginRebuild) until it
+	// commits by swapping in.
+	spare core.RunningSums
+	// slot is the queue's stable index while it lives (see Leaf.Slot).
+	slot int
 }
 
 func (n *node) isLeaf() bool { return len(n.children) == 0 }
@@ -260,10 +265,34 @@ type Tree struct {
 	byName   map[string]*node // named queues only (not root, not default)
 
 	cadence core.Cadence
-	// addAgent is the resummation visitor, built once so a rebuild
-	// allocates nothing.
-	addAgent func(queue string, weight []float64)
+	// addAgent and addLeafAgent are the resummation visitors, built once
+	// so a rebuild allocates nothing.
+	addAgent     func(queue string, weight []float64)
+	addLeafAgent func(l Leaf, weight []float64)
+	// slots is one past the largest slot handed out; freeSlots holds the
+	// slots of deleted queues for reuse.
+	slots     int
+	freeSlots []int
 }
+
+// Leaf is a resolved handle on one leaf queue. Per-agent paths hold it
+// instead of the queue's name, so an agent's aggregates are reached
+// without a name lookup. A handle stays valid until its queue is
+// deleted, which only happens once the queue holds no agents; the zero
+// Leaf is no queue.
+type Leaf struct{ n *node }
+
+// Valid reports whether the handle names a queue.
+func (l Leaf) Valid() bool { return l.n != nil }
+
+// Name returns the queue's name ("default" for the reserved leaf).
+func (l Leaf) Name() string { return l.n.name }
+
+// Slot returns a small index, stable for the queue's lifetime and
+// unique among live queues, below Tree.Slots: callers key per-queue
+// state by it in a slice instead of a map. A deleted queue's slot is
+// handed to the next queue created.
+func (l Leaf) Slot() int { return l.n.slot }
 
 // NewTree builds a tree from a declaration. Declaration order does not
 // matter (parents may be declared after children); the result is a
@@ -276,12 +305,9 @@ func NewTree(capacity []float64, cfg *TreeConfig, _ Options) (*Tree, error) {
 		capacity: append([]float64(nil), capacity...),
 		byName:   make(map[string]*node),
 	}
+	t.addLeafAgent = t.RebuildAgent
 	t.addAgent = func(queue string, w []float64) {
-		for n := t.lookup(CanonicalQueue(queue)); n != nil; n = n.parent {
-			for r, v := range w {
-				n.sums.AddAt(r, v)
-			}
-		}
+		t.RebuildAgent(Leaf{t.lookup(CanonicalQueue(queue))}, w)
 	}
 	t.root = t.newNode("")
 	t.root.quota = append([]float64(nil), capacity...)
@@ -353,13 +379,24 @@ func NewTree(capacity []float64, cfg *TreeConfig, _ Options) (*Tree, error) {
 
 func (t *Tree) newNode(name string) *node {
 	r := len(t.capacity)
-	return &node{
+	n := &node{
 		name:   name,
 		weight: 1,
 		quota:  make([]float64, r),
 		sums:   core.NewRunningSums(r),
+		spare:  core.NewRunningSums(r),
 	}
+	if k := len(t.freeSlots); k > 0 {
+		n.slot, t.freeSlots = t.freeSlots[k-1], t.freeSlots[:k-1]
+	} else {
+		n.slot = t.slots
+		t.slots++
+	}
+	return n
 }
+
+// Slots returns one past the largest slot a live queue holds.
+func (t *Tree) Slots() int { return t.slots }
 
 func denseQuota(q []float64, nRes int) []float64 {
 	d := make([]float64, nRes)
@@ -427,15 +464,22 @@ func (t *Tree) lookup(name string) *node {
 	return t.byName[name]
 }
 
+// Leaf resolves a leaf queue's handle ("" selects the default leaf);
+// the zero Leaf when the queue does not exist or has child queues.
+func (t *Tree) Leaf(name string) Leaf {
+	n := t.lookup(CanonicalQueue(name))
+	if n == nil || !n.isLeaf() {
+		return Leaf{}
+	}
+	return Leaf{n}
+}
+
 // Has reports whether the queue exists (the default leaf always does).
 func (t *Tree) Has(name string) bool { return t.lookup(CanonicalQueue(name)) != nil }
 
 // IsLeaf reports whether the queue exists and has no child queues —
 // the only queues agents may join.
-func (t *Tree) IsLeaf(name string) bool {
-	n := t.lookup(CanonicalQueue(name))
-	return n != nil && n.isLeaf()
-}
+func (t *Tree) IsLeaf(name string) bool { return t.Leaf(name).Valid() }
 
 // Names returns every queue name (default included) in sorted order.
 func (t *Tree) Names() []string {
@@ -638,40 +682,23 @@ func (t *Tree) Delete(name string) error {
 	}
 	n.parent.detachChild(n)
 	delete(t.byName, name)
+	t.freeSlots = append(t.freeSlots, n.slot)
 	return nil
 }
 
 // AgentDelta applies one agent mutation to the aggregates along the
 // leaf-to-root path — O(depth·R). oldW nil is a join, newW nil is a
 // leave; both set moves the agent's weight in place. oldQueue and
-// newQueue differ when an agent re-declares into another leaf. A
-// re-declare or retilt within one leaf takes a single walk that moves
-// each aggregate by sub-old then add-new — per resource the same float
-// sequence as two walks, so the sums are bit-identical.
+// newQueue differ when an agent re-declares into another leaf. It
+// resolves the names and runs LeafDelta.
 func (t *Tree) AgentDelta(oldQueue, newQueue string, oldW, newW []float64) error {
-	if oldW != nil && newW != nil && CanonicalQueue(oldQueue) == CanonicalQueue(newQueue) {
-		n := t.lookup(CanonicalQueue(newQueue))
-		if n == nil {
-			return fmt.Errorf("agent delta: unknown queue %q", newQueue)
-		}
-		if !n.isLeaf() {
-			return fmt.Errorf("agent delta: queue %q is not a leaf", newQueue)
-		}
-		for ; n != nil; n = n.parent {
-			n.sums.Apply(oldW, newW)
-		}
-		return nil
-	}
+	var from, to Leaf
 	if oldW != nil {
 		n := t.lookup(CanonicalQueue(oldQueue))
 		if n == nil {
 			return fmt.Errorf("agent delta: unknown queue %q", oldQueue)
 		}
-		n.agents--
-		for ; n != nil; n = n.parent {
-			n.subAgents--
-			n.sums.Apply(oldW, nil)
-		}
+		from = Leaf{n}
 	}
 	if newW != nil {
 		n := t.lookup(CanonicalQueue(newQueue))
@@ -681,27 +708,57 @@ func (t *Tree) AgentDelta(oldQueue, newQueue string, oldW, newW []float64) error
 		if !n.isLeaf() {
 			return fmt.Errorf("agent delta: queue %q is not a leaf", newQueue)
 		}
-		n.agents++
-		for ; n != nil; n = n.parent {
+		to = Leaf{n}
+	}
+	t.LeafDelta(from, to, oldW, newW)
+	return nil
+}
+
+// LeafDelta is AgentDelta on resolved handles: from and oldW are the
+// agent's leaf and weight before the mutation (zero and nil for a
+// join), to and newW after it (zero and nil for a leave). A re-declare
+// or retilt within one leaf takes a single walk that moves each
+// aggregate by sub-old then add-new — per resource the same float
+// sequence as two walks, so the sums are bit-identical.
+func (t *Tree) LeafDelta(from, to Leaf, oldW, newW []float64) {
+	if oldW != nil && newW != nil && from == to {
+		for n := to.n; n != nil; n = n.parent {
+			n.sums.Apply(oldW, newW)
+		}
+		return
+	}
+	if oldW != nil {
+		from.n.agents--
+		for n := from.n; n != nil; n = n.parent {
+			n.subAgents--
+			n.sums.Apply(oldW, nil)
+		}
+	}
+	if newW != nil {
+		to.n.agents++
+		for n := to.n; n != nil; n = n.parent {
 			n.subAgents++
 			n.sums.Apply(nil, newW)
 		}
 	}
-	return nil
 }
 
 // EachAgent is the resummation callback contract: it must visit every
 // live agent as (leaf queue, rescaled weight) in a deterministic
-// order. The serve layer passes its canonical name-sorted table walk.
+// order.
 type EachAgent func(visit func(queue string, weight []float64))
+
+// EachLeafAgent is EachAgent on resolved handles. The serve layer
+// passes its canonical name-sorted table walk.
+type EachLeafAgent func(visit func(l Leaf, weight []float64))
 
 // EndEpoch closes one delta batch, applying the flat table's
 // resummation policy: an exact rebuild when the cadence is due, or
 // immediately when churn through any node's aggregate has outrun the
 // drift tolerance.
-func (t *Tree) EndEpoch(each EachAgent) {
+func (t *Tree) EndEpoch(each EachLeafAgent) {
 	if t.cadence.Tick() || t.root.drifted() {
-		t.Resum(each)
+		t.ResumLeaves(each)
 	}
 }
 
@@ -719,20 +776,51 @@ func (n *node) drifted() bool {
 	return false
 }
 
-// reset empties every aggregate in n's subtree.
-func (n *node) reset() {
-	n.sums.Reset()
-	for _, c := range n.children {
-		c.reset()
-	}
-}
-
 // Resum rebuilds every aggregate exactly from the live agents in the
 // caller's canonical order — O(N·depth·R) — resetting churn.
 func (t *Tree) Resum(each EachAgent) {
-	t.root.reset()
+	t.BeginRebuild()
 	each(t.addAgent)
+	t.EndRebuild()
+}
+
+// ResumLeaves is Resum on resolved handles.
+func (t *Tree) ResumLeaves(each EachLeafAgent) {
+	t.BeginRebuild()
+	each(t.addLeafAgent)
+	t.EndRebuild()
+}
+
+// BeginRebuild starts an exact rebuild of every aggregate driven by the
+// caller's own walk: the caller folds every live agent in once through
+// RebuildAgent, in a deterministic order, and commits with EndRebuild.
+// A rebuild that is never ended leaves the running aggregates untouched.
+func (t *Tree) BeginRebuild() { t.root.eachNode(func(n *node) { n.spare.Reset() }) }
+
+// RebuildAgent folds one agent's effective weight into the rebuild
+// along its leaf-to-root path: per node, one add per resource, the
+// arithmetic of an exact resummation.
+func (t *Tree) RebuildAgent(l Leaf, w []float64) {
+	for n := l.n; n != nil; n = n.parent {
+		for r, v := range w {
+			n.spare.AddAt(r, v)
+		}
+	}
+}
+
+// EndRebuild commits a rebuild: the rebuilt aggregates replace the
+// running ones (churn reset) and the cadence restarts.
+func (t *Tree) EndRebuild() {
+	t.root.eachNode(func(n *node) { n.sums, n.spare = n.spare, n.sums })
 	t.cadence.Resummed(true)
+}
+
+// eachNode visits n's subtree, n first.
+func (n *node) eachNode(fn func(*node)) {
+	fn(n)
+	for _, c := range n.children {
+		c.eachNode(fn)
+	}
 }
 
 // Cadence returns the tree's resummation clock.

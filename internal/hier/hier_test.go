@@ -490,3 +490,91 @@ func TestConfigSnapshotRoundTrips(t *testing.T) {
 		t.Fatalf("default weight materialized in round trip: %+v", c)
 	}
 }
+
+// TestLeafHandles pins the handle path: Leaf resolves leaves only, slots
+// are unique among live queues and a deleted queue's slot is reused, and
+// a caller-walked rebuild equals the name-keyed Resum bit for bit — and
+// leaves the running aggregates untouched when it does not commit.
+func TestLeafHandles(t *testing.T) {
+	capacity := []float64{24, 12}
+	tr := mustTree(t, capacity,
+		QueueConfig{Name: "org"},
+		QueueConfig{Name: "a", Parent: "org"},
+		QueueConfig{Name: "b", Parent: "org"})
+	if tr.Leaf("org").Valid() || tr.Leaf("nope").Valid() {
+		t.Fatal("Leaf resolved an internal or unknown queue")
+	}
+	if l := tr.Leaf(""); !l.Valid() || l.Name() != DefaultQueue {
+		t.Fatalf("Leaf(\"\") = %+v, want the default leaf", l)
+	}
+	seen := map[int]string{}
+	for _, name := range tr.Names() {
+		l := tr.Leaf(name)
+		if !l.Valid() {
+			continue
+		}
+		slot := l.Slot()
+		if other, dup := seen[slot]; dup || slot >= tr.Slots() {
+			t.Fatalf("queue %s: slot %d (shared with %q, Slots %d)", name, slot, other, tr.Slots())
+		}
+		seen[slot] = name
+	}
+	freed := tr.Leaf("b").Slot()
+	if err := tr.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Upsert(QueueConfig{Name: "c", Parent: "org"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Leaf("c").Slot(); got != freed {
+		t.Fatalf("new queue took slot %d, want the freed slot %d", got, freed)
+	}
+
+	type agent struct {
+		leaf Leaf
+		w    []float64
+	}
+	rng := rand.New(rand.NewSource(43))
+	var agents []agent
+	for i := 0; i < 200; i++ {
+		q := []string{"a", "c", ""}[i%3]
+		w := util(t, rng.Float64()+0.01, rng.Float64()+0.01).Rescaled().Alpha
+		l := tr.Leaf(q)
+		tr.LeafDelta(Leaf{}, l, nil, w)
+		agents = append(agents, agent{l, w})
+	}
+	if got := tr.LeafAgents("a"); got != 67 {
+		t.Fatalf("leaf a holds %d agents, want 67", got)
+	}
+	running := tr.LeafSums("a", nil)
+	tr.BeginRebuild()
+	for _, a := range agents {
+		tr.RebuildAgent(a.leaf, a.w)
+	}
+	for r, v := range tr.LeafSums("a", nil) {
+		if v != running[r] {
+			t.Fatalf("uncommitted rebuild moved leaf a's sum %d: %v → %v", r, running[r], v)
+		}
+	}
+	tr.ResumLeaves(func(visit func(Leaf, []float64)) {
+		for _, a := range agents {
+			visit(a.leaf, a.w)
+		}
+	})
+	byHandle := map[string][]float64{}
+	for _, q := range []string{"org", "a", "c", DefaultQueue} {
+		byHandle[q] = tr.LeafSums(q, nil)
+	}
+	tr.Resum(func(visit func(string, []float64)) {
+		for _, a := range agents {
+			visit(a.leaf.Name(), a.w)
+		}
+	})
+	for q, want := range byHandle {
+		for r, v := range tr.LeafSums(q, nil) {
+			if v != want[r] {
+				t.Fatalf("queue %s sum %d: Resum %v, ResumLeaves %v", q, r, v, want[r])
+			}
+		}
+	}
+}

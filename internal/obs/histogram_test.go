@@ -145,3 +145,37 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("Quantile(1) = %v above max %v", s3.Quantile(1), s3.Max)
 	}
 }
+
+// TestLocalHistogramMatchesObserve: buffering samples in a
+// LocalHistogram and flushing lands every sample in the bucket Observe
+// would, with the same count, min and max, across bucket-run changes,
+// exact bounds and +Inf — and a reused buffer flushes only what it
+// saw since the last flush.
+func TestLocalHistogramMatchesObserve(t *testing.T) {
+	bounds := ladder()
+	samples := []float64{1, 1, 0.9, 2, bounds[3], math.Nextafter(bounds[3], 2), 1e-9, 1e12, math.Inf(1), 1, 0.5}
+	r := NewRegistry()
+	direct, buffered := r.Histogram("direct"), r.Histogram("buffered")
+	var l LocalHistogram
+	for round := 0; round < 2; round++ {
+		l.Reset(buffered)
+		for _, v := range samples {
+			direct.Observe(v)
+			l.Observe(v)
+		}
+		l.Flush()
+		want, got := direct.Snapshot(), buffered.Snapshot()
+		if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max || len(got.Buckets) != len(want.Buckets) {
+			t.Fatalf("round %d: buffered %+v, direct %+v", round, got, want)
+		}
+		for i := range want.Buckets {
+			if got.Buckets[i] != want.Buckets[i] {
+				t.Fatalf("round %d bucket %d: buffered %+v, direct %+v", round, i, got.Buckets[i], want.Buckets[i])
+			}
+		}
+	}
+	var nilBuf LocalHistogram
+	nilBuf.Reset(nil)
+	nilBuf.Observe(1)
+	nilBuf.Flush() // a nil histogram discards, as Observe does
+}

@@ -39,27 +39,32 @@ func TestReplayCreditClean(t *testing.T) {
 	}
 }
 
-// TestReplayCreditBitIdentical sweeps parallelism with the ledger on: the
-// settlement pass walks shards in index order and members in canonical
-// order, so budgets — and through them every row — must not depend on the
-// worker-pool width.
+// TestReplayCreditBitIdentical sweeps shard counts and parallelism with
+// the ledger on. The credit pass walks shards in index order and members
+// in canonical order, so at a fixed shard count budgets — and through
+// them every row and the ledger totals — must not depend on the
+// worker-pool width. Across shard counts the totals' summation order
+// changes; the mirror ledger sums in the same order, so every run must
+// stay clean with its equality checks exact.
 func TestReplayCreditBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism sweep is the long half of the suite")
 	}
 	cfg := ScenarioConfig{Seed: 2}
-	var want string
-	for _, par := range []int{1, 2, 8} {
-		opts := creditOpts()
-		opts.Parallelism = par
-		res := mustRun(t, ScenarioCreditCycle, cfg, opts)
-		if res.Failed() {
-			t.Fatalf("par=%d violations:\n%s", par, strings.Join(res.Violations, "\n"))
-		}
-		if want == "" {
-			want = res.GoldenText()
-		} else if got := res.GoldenText(); got != want {
-			t.Fatalf("par=%d diverged:\n--- got ---\n%s--- want ---\n%s", par, got, want)
+	for _, shards := range []int{1, 4, 32} {
+		var want string
+		for _, par := range []int{1, 2, 8} {
+			opts := creditOpts()
+			opts.Shards, opts.Parallelism = shards, par
+			res := mustRun(t, ScenarioCreditCycle, cfg, opts)
+			if res.Failed() {
+				t.Fatalf("shards=%d par=%d violations:\n%s", shards, par, strings.Join(res.Violations, "\n"))
+			}
+			if want == "" {
+				want = res.GoldenText()
+			} else if got := res.GoldenText(); got != want {
+				t.Fatalf("shards=%d par=%d diverged:\n--- got ---\n%s--- want ---\n%s", shards, par, got, want)
+			}
 		}
 	}
 }

@@ -801,7 +801,8 @@ func (d *driver) checkCreditSnapshot(snap *serve.Snapshot, agents []core.Agent) 
 	// then re-derives the rollup from its own accounts.
 	ledger := make(map[string]core.CreditAccount, len(snap.Agents))
 	rates := make(map[string]float64, len(snap.Agents))
-	var usageSum, fairSum, budgetSum core.CompSum
+	accs := make([]core.CreditAccount, len(snap.Agents))
+	var budgetSum core.CompSum
 	tiltMax, tiltMin := 1.0, 1.0
 	if len(snap.Agents) > 0 {
 		tiltMax, tiltMin = math.Inf(-1), math.Inf(1)
@@ -813,12 +814,30 @@ func (d *driver) checkCreditSnapshot(snap *serve.Snapshot, agents []core.Agent) 
 				snap.Epoch, wa.Name, snap.Budgets[i], want)
 		}
 		ledger[wa.Name] = acc
+		accs[i] = acc
 		rates[wa.Name] = core.ShareRate(snap.Allocation[i], snap.Capacity)
-		usageSum.Add(acc.Usage)
-		fairSum.Add(acc.Fair)
 		budgetSum.Add(snap.Budgets[i])
 		tiltMax = math.Max(tiltMax, snap.Budgets[i])
 		tiltMin = math.Min(tiltMin, snap.Budgets[i])
+	}
+	// The serve credit pass sums the ledger totals walking the agent
+	// table's shards in index order and each shard's members in canonical
+	// order. Snapshot agents are in canonical order, so a stable sort by
+	// shard reproduces that walk and the totals compare exactly.
+	shards := d.opts.Shards
+	if shards <= 0 {
+		shards = serve.DefaultShards
+	}
+	shardOf := make([]int, len(snap.Agents))
+	order := make([]int, len(snap.Agents))
+	for i, wa := range snap.Agents {
+		shardOf[i], order[i] = core.ShardOf(wa.Name, shards), i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return shardOf[order[a]] < shardOf[order[b]] })
+	var usageSum, fairSum core.CompSum
+	for _, i := range order {
+		usageSum.Add(accs[i].Usage)
+		fairSum.Add(accs[i].Fair)
 	}
 	c := snap.Credit
 	if c.HalfLifeSeconds != d.credit.HalfLifeSeconds ||

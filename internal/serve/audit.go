@@ -32,7 +32,7 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 	if whole {
 		touched = nil
 		s.flat.resetTotal()
-		for _, lp := range s.pubLeaf {
+		for _, lp := range s.pubLeaves {
 			lp.resetTotal()
 		}
 	} else {
@@ -48,11 +48,11 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 	minMargin := math.Inf(1)
 	audited := 0
 	visit := func(e agentView) {
-		mk := s.marketOf(e)
+		mk := s.marketOf(e.agentEntry)
 		row := core.RowFromSumsBudgeted(scratch, e.weight, e.budget, mk.sums, mk.share, mk.n)
 		if v, ok := (fair.Market{Sums: mk.sums, Capacity: mk.share}).Certify(e.util, row, e.budget); !ok {
 			v.Agent = audited
-			s.fail(f, e.queue, v)
+			s.fail(f, mk.queue, v)
 		}
 		margin := siMargin(e.util, mk.sums)
 		marginHist.Observe(margin)
@@ -82,11 +82,11 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 	}
 	if whole {
 		if s.pubLeaf == nil {
-			s.clearing(f, "", &s.flat)
+			s.clearing(f, &s.flat)
 		}
-		for _, q := range s.pubQueues {
-			if lp := s.pubLeaf[q.Name]; lp != nil && lp.n > 0 {
-				s.clearing(f, q.Name, lp)
+		for _, lp := range s.pubLeaves {
+			if lp.n > 0 {
+				s.clearing(f, lp)
 			}
 		}
 	}
@@ -98,9 +98,9 @@ func (s *Server) audit(n int, touched []string) *Fairness {
 
 // clearing runs the certificate's clearing check on one fully audited
 // market.
-func (s *Server) clearing(f *Fairness, queue string, mk *market) {
+func (s *Server) clearing(f *Fairness, mk *market) {
 	for _, v := range (fair.Market{Sums: mk.sums, Capacity: mk.share}).Clearing(mk.total, nil) {
-		s.fail(f, queue, v)
+		s.fail(f, mk.queue, v)
 	}
 }
 

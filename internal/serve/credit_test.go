@@ -2,13 +2,16 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ref/internal/cobb"
 	"ref/internal/core"
 	"ref/internal/fair"
+	"ref/internal/hier"
 	"ref/internal/opt"
 )
 
@@ -22,11 +25,18 @@ func creditTestServer(t *testing.T, clk *FakeClock, halfLife time.Duration, min,
 	cfg.CreditHalfLife = halfLife
 	cfg.CreditMinBudget = min
 	cfg.CreditMaxBudget = max
+	s := bootServer(t, cfg)
+	shortenResumCadence(s, 8) // exercise budget-scaled exact resummation often
+	return s
+}
+
+// bootServer starts a server from cfg and registers its drain.
+func bootServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	shortenResumCadence(s, 8) // exercise budget-scaled exact resummation often
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -61,69 +71,206 @@ func tick(t *testing.T, s *Server, clk *FakeClock, dt time.Duration, name string
 // the outside: a server with the ledger *enabled* but clamped to
 // min=max=1 publishes allocation rows bit-identical to a credits-off
 // server under the same mutation and clock script — the entire weighted
-// path (effective-weight deltas, budgeted rows, budget-scaled
-// resummations, weighted audits) must be invisible at unit budgets.
+// path (credit passes, budgeted rows, resummations, weighted audits)
+// must be invisible at unit budgets, on the flat economy and on a
+// two-level queue tree. No budget moves, so the credit pass must leave
+// every running sum untouched.
 func TestCreditUnitClampBitIdentical(t *testing.T) {
 	type step struct {
 		name  string
+		queue string
 		alpha []float64
 	}
-	script := []step{
-		{"a", []float64{0.9, 0.1}},
-		{"b", []float64{0.2, 0.8}},
-		{"c", []float64{1, 3}},
-		{"a", []float64{0.5, 0.5}}, // re-declare
-		{"d", []float64{7, 1}},
+	two := 2.0
+	tree := []hier.QueueConfig{
+		{Name: "org", Quota: []float64{6, 3}},
+		{Name: "leaf1", Parent: "org", Weight: &two},
+		{Name: "leaf2", Parent: "org"},
+		{Name: "solo", Quota: []float64{4, 2}},
 	}
-	run := func(creditOn bool) []*Snapshot {
-		clk := NewFakeClock(t0)
-		var s *Server
-		if creditOn {
-			s = creditTestServer(t, clk, 30*time.Second, 1, 1)
-		} else {
-			s = creditTestServer(t, clk, 0, 0, 0)
-		}
-		var snaps []*Snapshot
-		for _, st := range script {
-			clk.Advance(5 * time.Second)
-			u := mustUtility(t, 1, st.alpha...)
-			wire := WireAgent{Name: st.name, Alpha0: u.Alpha0, Elasticities: u.Alpha}
-			if _, _, _, apiErr := s.Join(context.Background(), wire, u); apiErr != nil {
-				t.Fatalf("join %s: %v", st.name, apiErr)
+	for _, tc := range []struct {
+		name   string
+		queues []hier.QueueConfig
+		script []step
+	}{
+		{"flat", nil, []step{
+			{"a", "", []float64{0.9, 0.1}},
+			{"b", "", []float64{0.2, 0.8}},
+			{"c", "", []float64{1, 3}},
+			{"a", "", []float64{0.5, 0.5}}, // re-declare
+			{"d", "", []float64{7, 1}},
+		}},
+		{"tree", tree, []step{
+			{"a", "leaf1", []float64{0.9, 0.1}},
+			{"b", "leaf2", []float64{0.2, 0.8}},
+			{"c", "solo", []float64{1, 3}},
+			{"d", "", []float64{7, 1}},
+			{"a", "leaf1", []float64{0.5, 0.5}}, // re-declare
+			{"e", "leaf1", []float64{0.3, 0.6}},
+			{"b", "solo", []float64{0.2, 0.8}}, // move
+			{"f", "leaf2", []float64{2, 1}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(creditOn bool) []*Snapshot {
+				clk := NewFakeClock(t0)
+				cfg := testConfig()
+				cfg.Clock = clk
+				cfg.MaxBatch = 1
+				cfg.Queues = tc.queues
+				if creditOn {
+					cfg.CreditHalfLife = 30 * time.Second
+					cfg.CreditMinBudget, cfg.CreditMaxBudget = 1, 1
+				}
+				s := bootServer(t, cfg)
+				shortenResumCadence(s, 8)
+				var snaps []*Snapshot
+				for _, st := range tc.script {
+					clk.Advance(5 * time.Second)
+					u := mustUtility(t, 1, st.alpha...)
+					wire := WireAgent{Name: st.name, Alpha0: u.Alpha0, Elasticities: u.Alpha, Queue: st.queue}
+					if _, _, _, apiErr := s.Join(context.Background(), wire, u); apiErr != nil {
+						t.Fatalf("join %s: %v", st.name, apiErr)
+					}
+					snaps = append(snaps, s.Current())
+				}
+				return snaps
 			}
-			snaps = append(snaps, s.Current())
-		}
-		return snaps
+			off, on := run(false), run(true)
+			for i := range off {
+				a, b := off[i], on[i]
+				if len(a.Allocation) != len(b.Allocation) || len(a.Queues) != len(b.Queues) {
+					t.Fatalf("step %d: %d vs %d rows, %d vs %d queues", i,
+						len(a.Allocation), len(b.Allocation), len(a.Queues), len(b.Queues))
+				}
+				for j := range a.Allocation {
+					for r := range a.Allocation[j] {
+						if a.Allocation[j][r] != b.Allocation[j][r] {
+							t.Fatalf("step %d row %d res %d: credits-off %v != clamped-unit %v (ulp %d)",
+								i, j, r, a.Allocation[j][r], b.Allocation[j][r],
+								core.UlpDiff(a.Allocation[j][r], b.Allocation[j][r]))
+						}
+					}
+				}
+				for j := range a.Queues {
+					for r := range a.Queues[j].Share {
+						if a.Queues[j].Share[r] != b.Queues[j].Share[r] {
+							t.Fatalf("step %d queue %s res %d: credits-off share %v != clamped-unit %v",
+								i, a.Queues[j].Name, r, a.Queues[j].Share[r], b.Queues[j].Share[r])
+						}
+					}
+				}
+				if a.Credit != nil {
+					t.Fatalf("step %d: credits-off snapshot grew a credit rollup", i)
+				}
+				if b.Credit == nil {
+					t.Fatalf("step %d: clamped-unit snapshot missing credit rollup", i)
+				}
+				for j, bud := range b.Budgets {
+					if bud != 1 {
+						t.Fatalf("step %d: budget[%d] = %v under a [1,1] clamp", i, j, bud)
+					}
+				}
+				if b.Credit.BudgetSum != float64(len(b.Agents)) {
+					t.Fatalf("step %d: budget sum %v, want exactly %d", i, b.Credit.BudgetSum, len(b.Agents))
+				}
+			}
+		})
 	}
-	off, on := run(false), run(true)
-	for i := range off {
-		a, b := off[i], on[i]
-		if len(a.Allocation) != len(b.Allocation) {
-			t.Fatalf("step %d: %d vs %d rows", i, len(a.Allocation), len(b.Allocation))
+}
+
+// TestCreditPassSumsExact pins the credit pass's resummation: after
+// every credit epoch with tilted budgets, the table's sums and budget
+// sum and every queue's aggregate equal a from-scratch rebuild in the
+// pass's order — shards in index order, each shard's rows in canonical
+// order, per-shard compensated sums folded in shard order — bit for bit.
+func TestCreditPassSumsExact(t *testing.T) {
+	clk := NewFakeClock(t0)
+	cfg := testConfig()
+	cfg.Clock = clk
+	cfg.MaxBatch = 1
+	cfg.Shards = 4
+	cfg.CreditHalfLife = 20 * time.Second
+	two := 2.0
+	cfg.Queues = []hier.QueueConfig{
+		{Name: "org", Quota: []float64{6, 3}},
+		{Name: "leaf1", Parent: "org", Weight: &two},
+		{Name: "leaf2", Parent: "org"},
+		{Name: "solo"},
+	}
+	s := bootServer(t, cfg)
+	queues := []string{"leaf1", "leaf2", "solo", ""}
+	for i := 0; i < 24; i++ {
+		u := mustUtility(t, 1, 0.05+float64(i%5)/4, 0.05+float64(i%7)/6)
+		wire := WireAgent{Name: fmt.Sprintf("t%02d", i), Alpha0: u.Alpha0, Elasticities: u.Alpha, Queue: queues[i%len(queues)]}
+		if _, _, _, apiErr := s.Join(context.Background(), wire, u); apiErr != nil {
+			t.Fatalf("join %s: %v", wire.Name, apiErr)
 		}
-		for j := range a.Allocation {
-			for r := range a.Allocation[j] {
-				if a.Allocation[j][r] != b.Allocation[j][r] {
-					t.Fatalf("step %d row %d res %d: credits-off %v != clamped-unit %v (ulp %d)",
-						i, j, r, a.Allocation[j][r], b.Allocation[j][r],
-						core.UlpDiff(a.Allocation[j][r], b.Allocation[j][r]))
+	}
+	tilted := false
+	for epoch := 0; epoch < 30; epoch++ {
+		tick(t, s, clk, 2*time.Second, "t00", 0.05, 0.05)
+		s.stateMu.RLock()
+		nRes := len(cfg.Capacity)
+		var budgets core.CompSum
+		sums := make([]core.CompSum, nRes)
+		nodes := map[string][]core.CompSum{}
+		for si := 0; si < s.table.NumShards(); si++ {
+			sh := s.table.Shard(si)
+			var shBudget core.CompSum
+			shSums := make([]core.CompSum, nRes)
+			for i := 0; i < sh.Len(); i++ {
+				b, w := sh.Budget(i), sh.Weight(i)
+				tilted = tilted || b != 1
+				shBudget.Add(b)
+				for q := sh.Payload(i).leaf.Name(); q != ""; {
+					if nodes[q] == nil {
+						nodes[q] = make([]core.CompSum, nRes)
+					}
+					for r := range w {
+						nodes[q][r].Add(b * w[r])
+					}
+					qc, _ := s.tree.Config(q)
+					q = qc.Parent
+				}
+				for r := range w {
+					shSums[r].Add(b * w[r])
+				}
+			}
+			budgets.Merge(shBudget)
+			for r := range sums {
+				sums[r].Merge(shSums[r])
+			}
+		}
+		got := s.table.Sums(nil)
+		for r := range sums {
+			if want := sums[r].Value(); got[r] != want {
+				t.Fatalf("epoch %d: table sum %d = %v, rebuild in pass order %v", epoch, r, got[r], want)
+			}
+		}
+		if got, want := s.table.BudgetSum(), budgets.Value(); got != want {
+			t.Fatalf("epoch %d: budget sum %v, rebuild in pass order %v", epoch, got, want)
+		}
+		for q, want := range nodes {
+			for r, v := range s.tree.LeafSums(q, nil) {
+				if v != want[r].Value() {
+					t.Fatalf("epoch %d: queue %s sum %d = %v, rebuild in pass order %v", epoch, q, r, v, want[r].Value())
 				}
 			}
 		}
-		if a.Credit != nil {
-			t.Fatalf("step %d: credits-off snapshot grew a credit rollup", i)
-		}
-		if b.Credit == nil {
-			t.Fatalf("step %d: clamped-unit snapshot missing credit rollup", i)
-		}
-		for j, bud := range b.Budgets {
-			if bud != 1 {
-				t.Fatalf("step %d: budget[%d] = %v under a [1,1] clamp", i, j, bud)
-			}
-		}
-		if b.Credit.BudgetSum != float64(len(b.Agents)) {
-			t.Fatalf("step %d: budget sum %v, want exactly %d", i, b.Credit.BudgetSum, len(b.Agents))
-		}
+		s.stateMu.RUnlock()
+	}
+	if !tilted {
+		t.Fatal("no budget ever tilted: the pass's rebuild was never exercised")
+	}
+}
+
+// TestAgentEntrySize pins the agent-table payload to the 160-byte size
+// class: flat-1m holds a million entries, so one more field would move
+// every entry up to the 176-byte class, about 15 MiB of heap.
+func TestAgentEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(agentEntry{}); got > 160 {
+		t.Fatalf("agentEntry is %d bytes, want at most 160", got)
 	}
 }
 

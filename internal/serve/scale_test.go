@@ -14,6 +14,7 @@ import (
 	"ref/internal/core"
 	"ref/internal/fair"
 	"ref/internal/hier"
+	"ref/internal/obs"
 )
 
 // patch PATCHes a raw-elasticity re-declaration and decodes the ack.
@@ -401,7 +402,7 @@ func benchServer(tb testing.TB, n, batch int, creditTree bool) (*Server, []mutat
 			wire.Queue = queue
 		}
 		e := &agentEntry{}
-		w := e.declare(wire, u, queue)
+		w := e.declare(wire, u, s.tree.Leaf(queue))
 		s.table.Upsert(name, e, w)
 		if leaves != nil {
 			if err := s.tree.AgentDelta("", queue, nil, w); err != nil {
@@ -484,11 +485,10 @@ func TestSteadyStateEpochAllocsFlat(t *testing.T) {
 }
 
 // TestCreditTreeEpochAllocsFlat is the same fence for a credit-on epoch
-// on a queue tree: the credit pass retilts every budget through the
-// tree and the credit publication recomputes every row, both O(N) walks,
-// but neither may allocate per agent. Budgets move every epoch (the fake
-// clock advances), so the one-walk tree retilt and the scratch row are
-// both on the measured path.
+// on a queue tree: the credit pass settles every account and rebuilds
+// the table and tree sums, an O(N) walk, but may not allocate per agent.
+// Budgets move every epoch (the fake clock advances), so the committed
+// rebuild and the budget-histogram buffer are on the measured path.
 func TestCreditTreeEpochAllocsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting at N=8192 in -short mode")
@@ -516,6 +516,11 @@ func TestCreditTreeEpochAllocsFlat(t *testing.T) {
 // BenchmarkEpochIncremental.
 func BenchmarkServeEpoch(b *testing.B) {
 	run := func(b *testing.B, n, batch int, creditTree bool) {
+		// Telemetry on, as refserve and the repo benchmark run it, so
+		// the per-epoch cost of the metrics is on the measured path.
+		prev := obs.Installed()
+		obs.Install(obs.NewRegistry())
+		b.Cleanup(func() { obs.Install(prev) })
 		s, muts := benchServer(b, n, batch, creditTree)
 		b.ReportAllocs()
 		b.ResetTimer()

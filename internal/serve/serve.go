@@ -145,6 +145,10 @@ const (
 // selects.
 const DefaultAuditSample = 256
 
+// DefaultShards is the agent-table stripe count a zero Config.Shards
+// selects.
+const DefaultShards = 32
+
 // Config parameterizes a Server. The zero value of every field except
 // Capacity selects a sensible default.
 type Config struct {
@@ -191,9 +195,10 @@ type Config struct {
 	// the weighted Equation 13. Zero (the default) disables the ledger
 	// entirely: every budget stays exactly 1 and the epoch path is
 	// byte-identical to the unweighted engine. Note a credit epoch walks
-	// the whole population twice — the settlement pass in shard order,
-	// the publication in canonical order (an O(N·log S) merge) — and
-	// costs O(N·R) with no per-agent allocation; it is intended for
+	// the whole population once, in shard order with no merge: it
+	// settles every account, writes every budget and rebuilds the table
+	// and tree sums exactly, O(N·R) with no per-agent allocation, timed
+	// inside the flight recorder's "apply" stage. It is intended for
 	// epoch windows where that is affordable, not for the million-agent
 	// O(Δ)-per-epoch regime.
 	CreditHalfLife time.Duration
@@ -312,7 +317,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Clock = RealClock{}
 	}
 	if c.Shards <= 0 {
-		c.Shards = 32
+		c.Shards = DefaultShards
 	}
 	if c.InlineSnapshotAgents == 0 {
 		c.InlineSnapshotAgents = 4096
@@ -448,13 +453,15 @@ type Server struct {
 	// flat is the published flat market: the rounded combined sums
 	// backing the published rows, the capacity, and the population.
 	flat market
-	// pubLeaf / pubQueues / pubQIdx are the published hierarchical
-	// state backing point and delta reads: per-leaf markets for O(R) row
-	// reads, the rollup set of the published snapshot, and its name
-	// index. All nil while the tree is trivial.
-	pubLeaf   map[string]*market
+	// pubLeaf / pubLeaves / pubQueues are the published hierarchical
+	// state backing point and delta reads and the next credit pass: the
+	// per-leaf markets for O(R) row reads indexed by hier.Leaf.Slot (nil
+	// where a slot holds no leaf), the same markets in queue-name order,
+	// and the rollup set of the published snapshot. All nil while the
+	// tree is trivial.
+	pubLeaf   []*market
+	pubLeaves []*market
 	pubQueues []QueueRollup
-	pubQIdx   map[string]int
 
 	// Steady-state epoch scratch, reused so an epoch's allocations are
 	// proportional to its batch, never to the total population.
@@ -490,6 +497,11 @@ type Server struct {
 	credit      core.CreditParams
 	creditLast  time.Time
 	creditLastN int
+	// creditTotals are the latest credit pass's ledger totals and
+	// budgetHist its reusable budget-histogram buffer. Both guarded by
+	// stateMu.
+	creditTotals creditTotals
+	budgetHist   obs.LocalHistogram
 }
 
 // New validates cfg, publishes the empty epoch-0 snapshot, and starts the
@@ -633,7 +645,7 @@ func (s *Server) QueueRollups() (uint64, []QueueRollup) {
 // shard shifts the rows, and a re-declare overwrites its row in place.
 type treeDelta struct {
 	oldW, newW []float64
-	oldQ, newQ string
+	oldQ, newQ hier.Leaf
 	has        bool
 }
 
@@ -645,6 +657,10 @@ type market struct {
 	sums  []float64
 	share []float64
 	n     int
+	// queue is the leaf's name and rollup its index in pubQueues (""
+	// and unused for the flat economy).
+	queue  string
+	rollup int
 	// total accumulates the members' rows for the whole-table audit's
 	// clearing check.
 	total []core.CompSum
@@ -661,19 +677,28 @@ func (m *market) resetTotal() {
 // treeEach adapts the canonical table walk to the tree's resummation
 // callback contract. The tree aggregates *effective* weights — at unit
 // budgets that is the raw weight slice, bit for bit. Callers hold stateMu.
-func (s *Server) treeEach(visit func(queue string, weight []float64)) {
+func (s *Server) treeEach(visit func(l hier.Leaf, weight []float64)) {
 	if len(s.effScratch) != len(s.cfg.Capacity) {
 		s.effScratch = make([]float64, len(s.cfg.Capacity))
 	}
 	s.table.Each(func(sh *shard, i int) {
-		visit(sh.Payload(i).queue, core.ScaleWeights(s.effScratch, sh.Weight(i), sh.Budget(i)))
+		visit(sh.Payload(i).leaf, core.ScaleWeights(s.effScratch, sh.Weight(i), sh.Budget(i)))
 	})
+}
+
+// leafMarket returns the published market of e's leaf queue, nil on the
+// flat path.
+func (s *Server) leafMarket(e *agentEntry) *market {
+	if sl := e.leaf.Slot(); sl < len(s.pubLeaf) {
+		return s.pubLeaf[sl]
+	}
+	return nil
 }
 
 // marketOf resolves the published market agent e trades in: its leaf
 // queue when the tree is non-trivial, the flat economy otherwise.
-func (s *Server) marketOf(e agentView) *market {
-	if lp, ok := s.pubLeaf[e.queue]; ok {
+func (s *Server) marketOf(e *agentEntry) *market {
+	if lp := s.leafMarket(e); lp != nil {
 		return lp
 	}
 	return &s.flat
@@ -683,7 +708,7 @@ func (s *Server) marketOf(e agentView) *market {
 // into dst, allocated when nil: read paths whose rows escape into a
 // response pass nil, per-epoch walks pass scratchRow.
 func (s *Server) rowFor(dst []float64, e agentView) []float64 {
-	mk := s.marketOf(e)
+	mk := s.marketOf(e.agentEntry)
 	return core.RowFromSumsBudgeted(dst, e.weight, e.budget, mk.sums, mk.share, mk.n)
 }
 
@@ -699,8 +724,8 @@ func (s *Server) scratchRow() []float64 {
 // queueRollupFor returns the published rollup of e's leaf queue, nil on
 // the flat path.
 func (s *Server) queueRollupFor(e agentView) *QueueRollup {
-	if i, ok := s.pubQIdx[e.queue]; ok {
-		return &s.pubQueues[i]
+	if lp := s.leafMarket(e.agentEntry); lp != nil {
+		return &s.pubQueues[lp.rollup]
 	}
 	return nil
 }
@@ -863,10 +888,10 @@ func (s *Server) runEpoch(batch []mutation) {
 	}
 
 	// With the ledger enabled, settle credits before the epoch closes:
-	// every tenant's account accrues the interval since the last
-	// publication and its new clamped budget lands as an O(R)
-	// effective-weight delta — so the resummation policy right below sees
-	// the credit churn too.
+	// one walk accrues every tenant's account over the interval since the
+	// last publication, writes its new clamped budget, and rebuilds the
+	// table and tree sums exactly, so the resummation policy right below
+	// finds nothing due whenever a budget moved.
 	if s.credit.Enabled() {
 		s.creditPass()
 	}
@@ -1040,7 +1065,7 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 		s.shardMuts[si] = append(s.shardMuts[si], i)
 	}
 	s.activeShards = active
-	hierOn := s.hierEver
+	hierOn, credit := s.hierEver, s.credit.Enabled()
 	nRes := len(s.cfg.Capacity)
 	if nw := 2 * nRes * len(batch); hierOn && len(s.treeW) < nw {
 		s.treeW = make([]float64, nw)
@@ -1077,22 +1102,24 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 				// Resolve the leaf queue: an explicit name wins; an empty
 				// field inherits the existing entry's queue (PATCH bodies
 				// and re-declares without a queue stay put).
-				queue := hier.CanonicalQueue(m.wire.Queue)
+				var leaf hier.Leaf
 				if m.wire.Queue == "" && found {
-					queue = sh.Payload(i).queue
-				}
-				if !s.tree.Has(queue) {
-					results[bi].err = &APIError{Code: CodeUnknownQueue, Status: http.StatusNotFound,
-						Message: fmt.Sprintf("agent %q: no queue named %q", m.name, queue)}
-					continue
-				}
-				if !s.tree.IsLeaf(queue) {
-					results[bi].err = &APIError{Code: CodeInvalidQueue, Status: http.StatusBadRequest,
-						Message: fmt.Sprintf("agent %q: queue %q is not a leaf; only leaf queues hold agents", m.name, queue)}
-					continue
+					leaf = sh.Payload(i).leaf
+				} else {
+					queue := hier.CanonicalQueue(m.wire.Queue)
+					if !s.tree.Has(queue) {
+						results[bi].err = &APIError{Code: CodeUnknownQueue, Status: http.StatusNotFound,
+							Message: fmt.Sprintf("agent %q: no queue named %q", m.name, queue)}
+						continue
+					}
+					if leaf = s.tree.Leaf(queue); !leaf.Valid() {
+						results[bi].err = &APIError{Code: CodeInvalidQueue, Status: http.StatusBadRequest,
+							Message: fmt.Sprintf("agent %q: queue %q is not a leaf; only leaf queues hold agents", m.name, queue)}
+						continue
+					}
 				}
 				wire := m.wire
-				if queue == hier.DefaultQueue {
+				if queue := leaf.Name(); queue == hier.DefaultQueue {
 					wire.Queue = "" // canonical wire form for the default queue
 				} else {
 					wire.Queue = queue
@@ -1100,21 +1127,27 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 				if found {
 					// A re-declare keeps the agent's budget (and ledger):
 					// the table moves the delta between the old and new
-					// effective weights.
+					// effective weights. A live tenant's share rate at the
+					// last publication is captured first, while its weight
+					// and queue are still the ones that publication saw.
 					e := sh.Payload(i)
-					if d != nil {
-						*d = treeDelta{has: true, oldQ: e.queue, oldW: sh.AppendEff(dw[:0:nRes], i)}
+					if credit && e.creditState == creditLive {
+						e.shareRate = s.publishedShareRate(e, sh.Weight(i), sh.Budget(i))
+						e.creditState = creditCaptured
 					}
-					sh.Set(i, e.declare(wire, m.util, queue))
+					if d != nil {
+						*d = treeDelta{has: true, oldQ: e.leaf, oldW: sh.AppendEff(dw[:0:nRes], i)}
+					}
+					sh.Set(i, e.declare(wire, m.util, leaf))
 				} else {
 					e := &agentEntry{}
-					sh.Insert(i, m.name, e, e.declare(wire, m.util, queue))
+					sh.Insert(i, m.name, e, e.declare(wire, m.util, leaf))
 					if d != nil {
 						*d = treeDelta{has: true}
 					}
 				}
 				if d != nil {
-					d.newQ, d.newW = queue, sh.AppendEff(dw[nRes:nRes:2*nRes], i)
+					d.newQ, d.newW = leaf, sh.AppendEff(dw[nRes:nRes:2*nRes], i)
 				}
 			case mutLeave:
 				if !found {
@@ -1123,7 +1156,7 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 					continue
 				}
 				if d != nil {
-					*d = treeDelta{has: true, oldQ: sh.Payload(i).queue, oldW: sh.AppendEff(dw[:0:nRes], i)}
+					*d = treeDelta{has: true, oldQ: sh.Payload(i).leaf, oldW: sh.AppendEff(dw[:0:nRes], i)}
 				}
 				sh.Delete(i)
 			}
@@ -1135,9 +1168,9 @@ func (s *Server) applyAgentRun(batch []mutation, results []mutationResult, lo, h
 	if hierOn {
 		for i := lo; i < hi; i++ {
 			if d := &s.treeCap[i]; d.has {
-				// Cannot fail: the queue was checked to be an existing
-				// leaf in this run, and topology is frozen within it.
-				_ = s.tree.AgentDelta(d.oldQ, d.newQ, d.oldW, d.newW)
+				// The leaves were resolved in this run, and topology is
+				// frozen within it.
+				s.tree.LeafDelta(d.oldQ, d.newQ, d.oldW, d.newW)
 				*d = treeDelta{}
 			}
 		}
@@ -1164,7 +1197,7 @@ func (s *Server) applyQueueMutation(m mutation, res *mutationResult) {
 		}
 		if !s.hierEver {
 			s.hierEver = true
-			s.tree.Resum(s.treeEach)
+			s.tree.ResumLeaves(s.treeEach)
 		}
 	case mutQueueDelete:
 		switch {
@@ -1240,18 +1273,21 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 	var al *hier.Alloc
 	if s.tree.NonTrivial() {
 		al = s.tree.Allocate()
-		leaf := make(map[string]*market, len(al.Queues))
-		idx := make(map[string]int, len(al.Queues))
+		bySlot := make([]*market, s.tree.Slots())
+		var leaves []*market
 		rollups := make([]QueueRollup, 0, len(al.Queues))
 		for _, qa := range al.Queues {
 			if qa.Leaf {
-				leaf[qa.Name] = &market{
-					sums:  s.tree.LeafSums(qa.Name, nil),
-					share: qa.Share,
-					n:     s.tree.LeafAgents(qa.Name),
+				mk := &market{
+					sums:   s.tree.LeafSums(qa.Name, nil),
+					share:  qa.Share,
+					n:      s.tree.LeafAgents(qa.Name),
+					queue:  qa.Name,
+					rollup: len(rollups),
 				}
+				bySlot[s.tree.Leaf(qa.Name).Slot()] = mk
+				leaves = append(leaves, mk)
 			}
-			idx[qa.Name] = len(rollups)
 			rollups = append(rollups, QueueRollup{
 				Name: qa.Name, Parent: qa.Parent, Leaf: qa.Leaf,
 				Weight: qa.Weight, Quota: qa.Quota, Agents: qa.Agents,
@@ -1259,29 +1295,36 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 				ReclaimOut: qa.ReclaimOut, ReclaimIn: qa.ReclaimIn,
 			})
 		}
-		s.pubLeaf, s.pubQueues, s.pubQIdx = leaf, rollups, idx
+		s.pubLeaf, s.pubLeaves, s.pubQueues = bySlot, leaves, rollups
 		snap.Queues = rollups
 	} else {
-		s.pubLeaf, s.pubQueues, s.pubQIdx = nil, nil, nil
+		s.pubLeaf, s.pubLeaves, s.pubQueues = nil, nil, nil
 	}
 
+	credit := s.credit.Enabled()
 	if s.cfg.InlineSnapshotAgents >= 0 && n <= s.cfg.InlineSnapshotAgents {
 		snap.Agents = make([]WireAgent, 0, n)
 		snap.Allocation = make([][]float64, 0, n)
+		if credit {
+			snap.Budgets = make([]float64, 0, n)
+		}
 		s.table.forEachSorted(func(_ string, e agentView) {
 			snap.Agents = append(snap.Agents, e.wire)
 			snap.Allocation = append(snap.Allocation, s.rowFor(nil, e))
+			if credit {
+				snap.Budgets = append(snap.Budgets, e.budget)
+			}
 		})
 	} else {
 		snap.AgentsElided = true
 		snap.AgentCount = n
 	}
 
-	// With the ledger enabled, close the credit loop against the state
-	// just published: store every tenant's realized share rate (what the
-	// next pass integrates as usage) and assemble the credit rollup.
-	if s.credit.Enabled() {
-		s.creditPublish(snap, n)
+	// With the ledger enabled, publish the totals of this epoch's credit
+	// pass. The markets just published are what the next pass reads each
+	// tenant's realized share rate from.
+	if credit {
+		snap.Credit = s.creditRollup(n)
 	}
 
 	if tm != nil {

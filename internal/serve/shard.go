@@ -3,6 +3,7 @@ package serve
 import (
 	"ref/internal/cobb"
 	"ref/internal/core"
+	"ref/internal/hier"
 )
 
 // agentEntry is one tenant's payload in the agent table. The table
@@ -12,25 +13,42 @@ import (
 type agentEntry struct {
 	wire WireAgent
 	util cobb.Utility
-	// queue is the canonical leaf queue holding the agent ("default"
-	// when the agent joined without one).
-	queue string
+	// leaf is the leaf queue holding the agent (the default leaf when
+	// the agent joined without one).
+	leaf hier.Leaf
 	// credit is the agent's decaying usage/fair-share ledger (zero value
 	// while the ledger is disabled or the agent is fresh).
 	credit core.CreditAccount
-	// shareRate is the agent's normalized share rate at the last
-	// publication — what the next credit pass integrates as usage.
+	// shareRate is the agent's share rate at the last publication,
+	// captured when this epoch's batch re-declared or moved it (state
+	// creditCaptured); otherwise the credit pass computes it.
 	shareRate float64
-	// creditLive marks agents that were present at the last publication:
-	// only they accrue over the following interval (a fresh join neither
-	// used nor was owed anything before it appeared).
-	creditLive bool
+	// creditState is the entry's standing for the next credit pass.
+	creditState creditState
 }
+
+// creditState is an agent's standing in the credit ledger.
+type creditState uint8
+
+const (
+	// creditFresh: joined since the last publication. It neither used
+	// nor was owed anything before it appeared, so it accrues nothing
+	// and keeps its unit budget.
+	creditFresh creditState = iota
+	// creditLive: present at the last publication, and its weight,
+	// budget and queue are still the ones that publication saw, so its
+	// share rate is recomputed from the published market.
+	creditLive
+	// creditCaptured: present at the last publication, and re-declared
+	// or moved since; shareRate holds the rate captured before the
+	// change.
+	creditCaptured
+)
 
 // declare (re)sets the entry's declaration and returns the agent's raw
 // rescaled weights for the table.
-func (e *agentEntry) declare(wire WireAgent, util cobb.Utility, queue string) []float64 {
-	e.wire, e.util, e.queue = wire, util, queue
+func (e *agentEntry) declare(wire WireAgent, util cobb.Utility, leaf hier.Leaf) []float64 {
+	e.wire, e.util, e.leaf = wire, util, leaf
 	return util.Rescaled().Alpha
 }
 
@@ -70,8 +88,8 @@ func (t *agentTable) get(name string) (agentView, bool) {
 }
 
 // forEachSorted visits every agent in the canonical global (name-sorted)
-// order. Only materialization paths (inline snapshots, credit
-// publication, tree resummation) walk the whole population.
+// order. Only materialization paths (inline snapshots, tree
+// resummation) walk the whole population that way.
 func (t *agentTable) forEachSorted(fn func(name string, e agentView)) {
 	t.Each(func(sh *shard, i int) { fn(sh.Name(i), viewOf(sh, i)) })
 }

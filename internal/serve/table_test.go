@@ -26,7 +26,7 @@ func assertResumAgrees(t *testing.T, s *Server, leaves ...string) {
 		tree[q] = s.tree.LeafSums(q, nil)
 	}
 	s.table.Resum()
-	s.tree.Resum(s.treeEach)
+	s.tree.ResumLeaves(s.treeEach)
 	for r, v := range s.table.Sums(nil) {
 		if d := core.UlpDiff(flat[r], v); d > 2 {
 			t.Errorf("flat sum %d: running %v vs resummed %v (%d ulps)", r, flat[r], v, d)
@@ -85,7 +85,7 @@ func TestForcedResumAllocsZero(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		s.table.Resum()
-		s.tree.Resum(s.treeEach)
+		s.tree.ResumLeaves(s.treeEach)
 	})
 	if allocs != 0 {
 		t.Fatalf("forced resummation allocates %v times per run, want 0", allocs)
